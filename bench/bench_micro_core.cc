@@ -56,15 +56,49 @@ void BM_UpcallPostAndDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_UpcallPostAndDeliver);
 
+// Fills |table| with |windows| resident bandwidth windows in class 1, one
+// per app (ids 1..windows): window i spans [i, i + windows], so a level
+// just below the top lower bound violates a fixed handful of them.
+void FillResidentWindows(RequestTable* table, int64_t windows) {
+  for (int64_t i = 0; i < windows; ++i) {
+    const auto lower = static_cast<double>(i);
+    table->Register(static_cast<AppId>(i + 1),
+                    ResourceDescriptor{ResourceId::kNetworkBandwidth, lower,
+                                       lower + static_cast<double>(windows), nullptr},
+                    1);
+  }
+}
+
+// Register + cancel of one window against |range(0)| resident windows of
+// the same class: both interval-index heaps take an insert and an erase.
 void BM_RequestRegisterCancel(benchmark::State& state) {
   RequestTable table;
-  ResourceDescriptor descriptor{ResourceId::kNetworkBandwidth, 0.0, 1e9, nullptr};
+  FillResidentWindows(&table, state.range(0));
+  const double middle = static_cast<double>(state.range(0)) / 2.0;
+  ResourceDescriptor descriptor{ResourceId::kNetworkBandwidth, middle, 1e9, nullptr};
   for (auto _ : state) {
-    const RequestId id = table.Register(1, descriptor);
+    const RequestId id = table.Register(1, descriptor, 1);
     benchmark::DoNotOptimize(table.Cancel(id));
   }
 }
-BENCHMARK(BM_RequestRegisterCancel);
+BENCHMARK(BM_RequestRegisterCancel)->Arg(0)->Arg(1000)->Arg(100000);
+
+// A class-scoped violation probe (the viceroy's idle-level query) against
+// |range(0)| resident windows when 16 of them are violated: the pruned heap
+// walk's cost follows the violators, not the depth.
+void BM_CollectViolatedApps(benchmark::State& state) {
+  RequestTable table;
+  FillResidentWindows(&table, state.range(0));
+  const double level = static_cast<double>(state.range(0)) - 16.5;
+  std::vector<AppId> apps;
+  for (auto _ : state) {
+    apps.clear();
+    table.CollectViolatedApps(ResourceId::kNetworkBandwidth, 1, level, &apps);
+    benchmark::DoNotOptimize(apps.data());
+  }
+  state.counters["violated"] = static_cast<double>(apps.size());
+}
+BENCHMARK(BM_CollectViolatedApps)->Arg(1000)->Arg(100000);
 
 void BM_RequestTableTakeViolated(benchmark::State& state) {
   // A table with many registered windows, one violated per call.

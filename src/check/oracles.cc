@@ -43,6 +43,9 @@ void OracleSet::Report(const std::string& oracle, AppId app, std::string detail)
 void OracleSet::OnUpcallDelivered(AppId app, uint64_t seq, RequestId request,
                                   ResourceId resource, double level, Time posted_at) {
   // Exactly-once, in-order (§4.3): per-app sequence numbers are dense.
+  if (app >= last_seq_.size()) {
+    last_seq_.resize(app + 1, 0);
+  }
   uint64_t& last = last_seq_[app];
   if (seq <= last) {
     std::ostringstream detail;

@@ -37,8 +37,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/check/fuzz_scenario.h"
@@ -131,9 +132,9 @@ class OracleSet {
   CentralizedStrategy* strategy_;
   Link* link_;
 
-  std::map<AppId, uint64_t> last_seq_;
-  std::map<RequestId, Window> registered_;
-  std::set<RequestId> cancelled_;
+  std::vector<uint64_t> last_seq_;  // by AppId; 0 = nothing delivered yet
+  std::unordered_map<RequestId, Window> registered_;
+  std::unordered_set<RequestId> cancelled_;
   Time last_event_time_ = 0;
   uint64_t tie_pairs_audited_ = 0;
   double last_bytes_delivered_ = 0.0;

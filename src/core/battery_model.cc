@@ -1,5 +1,7 @@
 #include "src/core/battery_model.h"
 
+#include "src/core/contract.h"
+
 namespace odyssey {
 
 BatteryModel::BatteryModel(Simulation* sim, Viceroy* viceroy, Link* link, const Config& config)
@@ -19,7 +21,9 @@ void BatteryModel::Start() {
   started_ = true;
   last_tick_ = sim_->now();
   last_bytes_ = link_->bytes_delivered();
-  viceroy_->SetStaticLevel(ResourceId::kBatteryPower, remaining_minutes_);
+  const Status published =
+      viceroy_->SetStaticLevel(ResourceId::kBatteryPower, remaining_minutes_);
+  ODY_ASSERT(published.ok(), "battery level rejected by the viceroy");
   sim_->Schedule(config_.update_period, [this] { Tick(); });
 }
 
@@ -36,7 +40,9 @@ void BatteryModel::Tick() {
   if (remaining_minutes_ < 0.0) {
     remaining_minutes_ = 0.0;
   }
-  viceroy_->SetStaticLevel(ResourceId::kBatteryPower, remaining_minutes_);
+  const Status published =
+      viceroy_->SetStaticLevel(ResourceId::kBatteryPower, remaining_minutes_);
+  ODY_ASSERT(published.ok(), "battery level rejected by the viceroy");
   if (remaining_minutes_ > 0.0) {
     sim_->Schedule(config_.update_period, [this] { Tick(); });
   }

@@ -1,5 +1,7 @@
 #include "src/core/cache_manager.h"
 
+#include "src/core/contract.h"
+
 namespace odyssey {
 
 CacheManager::CacheManager(Viceroy* viceroy, double capacity_kb)
@@ -25,7 +27,8 @@ void CacheManager::Release(double kb) {
 }
 
 void CacheManager::Publish() {
-  viceroy_->SetStaticLevel(ResourceId::kDiskCacheSpace, free_kb());
+  const Status published = viceroy_->SetStaticLevel(ResourceId::kDiskCacheSpace, free_kb());
+  ODY_ASSERT(published.ok(), "cache level rejected by the viceroy");
 }
 
 }  // namespace odyssey

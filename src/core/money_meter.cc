@@ -1,5 +1,7 @@
 #include "src/core/money_meter.h"
 
+#include "src/core/contract.h"
+
 namespace odyssey {
 
 MoneyMeter::MoneyMeter(Simulation* sim, Viceroy* viceroy, Link* link, const Config& config)
@@ -18,7 +20,8 @@ void MoneyMeter::Start() {
   }
   started_ = true;
   last_bytes_ = link_->bytes_delivered();
-  viceroy_->SetStaticLevel(ResourceId::kMoney, remaining_cents_);
+  const Status published = viceroy_->SetStaticLevel(ResourceId::kMoney, remaining_cents_);
+  ODY_ASSERT(published.ok(), "money level rejected by the viceroy");
   sim_->Schedule(config_.update_period, [this] { Tick(); });
 }
 
@@ -30,7 +33,8 @@ void MoneyMeter::Tick() {
   if (remaining_cents_ < 0.0) {
     remaining_cents_ = 0.0;
   }
-  viceroy_->SetStaticLevel(ResourceId::kMoney, remaining_cents_);
+  const Status published = viceroy_->SetStaticLevel(ResourceId::kMoney, remaining_cents_);
+  ODY_ASSERT(published.ok(), "money level rejected by the viceroy");
   if (remaining_cents_ > 0.0) {
     sim_->Schedule(config_.update_period, [this] { Tick(); });
   }

@@ -4,6 +4,18 @@
 
 namespace odyssey {
 
+namespace {
+
+// The answer to a request on a path or descriptor that names no Odyssey
+// object: !ok at level 0.
+RequestResult NotAnOdysseyObject() {
+  RequestResult result;
+  result.code = StatusCode::kNotFound;
+  return result;
+}
+
+}  // namespace
+
 OdysseyClient::OdysseyClient(Simulation* sim, Link* link,
                              std::unique_ptr<BandwidthStrategy> strategy,
                              Duration upcall_latency)
@@ -64,7 +76,7 @@ RequestResult OdysseyClient::Request(AppId app, const std::string& path,
                                      const ResourceDescriptor& descriptor) {
   ObjectNamespace::Resolution resolution;
   if (!namespace_.Resolve(path, &resolution).ok()) {
-    return RequestResult{};  // !ok, level 0: not an Odyssey object
+    return NotAnOdysseyObject();
   }
   return viceroy_.Request(app, descriptor);
 }
@@ -72,7 +84,7 @@ RequestResult OdysseyClient::Request(AppId app, const std::string& path,
 RequestResult OdysseyClient::RequestFd(AppId app, OdysseyFd fd,
                                        const ResourceDescriptor& descriptor) {
   if (Lookup(app, fd) == nullptr) {
-    return RequestResult{};
+    return NotAnOdysseyObject();
   }
   return viceroy_.Request(app, descriptor);
 }

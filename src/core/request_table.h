@@ -10,30 +10,34 @@
 // hot cache lines instead of exercising the allocator, and 100k concurrent
 // windows sit in one contiguous allocation.  Around the slab:
 //
-//   * per-(resource, app) buckets of slot indices, making TakeViolated and
-//     EntriesFor O(app's windows) instead of O(table);
-//   * per-resource interval indexes ordered by (class, window bound),
-//     letting CollectViolatedApps find every app with a violated window at
-//     a given level in O(log table + violated) — the query the indexed
-//     viceroy re-evaluation is built on.  The class is an opaque caller
-//     partition (the viceroy uses the app's connection count): idle apps
-//     with the same class share one availability level, so probing each
-//     class at its own level scans only that class's windows instead of
-//     sweeping windows of every other class into the candidate set.
+//   * per-(resource, app) buckets — intrusive doubly-linked lists threaded
+//     through the slots, headed from a vector indexed by the dense AppId —
+//     making TakeViolated and EntriesFor O(app's windows) instead of
+//     O(table);
+//   * per-(resource, class) interval indexes: a max-heap on window lower
+//     bounds and a min-heap on upper bounds, each a flat array of (bound,
+//     slot) pairs with the slot recording its position in both.  A pruned
+//     walk down either heap reports every window the level violates in
+//     O(violated), letting CollectViolatedApps answer "whose windows does
+//     this level violate" — the query the indexed viceroy re-evaluation is
+//     built on — while insert and erase cost O(log class size).  The class
+//     is an opaque caller partition (the viceroy uses the app's connection
+//     count, a small integer): idle apps with the same class share one
+//     availability level, so probing each class at its own level scans only
+//     that class's windows instead of sweeping windows of every other class
+//     into the candidate set.
 //
-// All result orderings are by ascending RequestId, matching the original
-// std::map-backed implementation entry for entry; slot reuse never leaks
-// into observable order.
+// TakeViolated and EntriesFor return entries in ascending RequestId order,
+// matching the original std::map-backed implementation entry for entry;
+// slot reuse never leaks into their order.  CollectViolatedApps promises
+// only membership (it may repeat an app), so its heap-walk order is free.
 
 #ifndef SRC_CORE_REQUEST_TABLE_H_
 #define SRC_CORE_REQUEST_TABLE_H_
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <tuple>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/core/resource.h"
@@ -50,9 +54,10 @@ class RequestTable {
   };
 
   // Registers a window of tolerance.  The caller has already verified the
-  // current level lies within the window.  |klass| partitions the interval
-  // index for scoped CollectViolatedApps queries; callers that never probe
-  // by class can leave it 0.
+  // window's bounds are ordered and not NaN and that the current level lies
+  // within it.  |klass| partitions the interval index for scoped
+  // CollectViolatedApps queries; callers that never probe by class can
+  // leave it 0.
   RequestId Register(AppId app, const ResourceDescriptor& descriptor, uint32_t klass = 0);
 
   // Moves every window of |app| (all resources) to |klass|.  The viceroy
@@ -74,47 +79,85 @@ class RequestTable {
   std::vector<Entry> EntriesFor(AppId app, ResourceId resource) const;
 
   // Appends the app of every entry on |resource| whose window excludes
-  // |level|.  May repeat an app (one per violated window); never misses
-  // one.  Does not consume entries — the caller re-evaluates each reported
-  // app through the normal TakeViolated path.
+  // |level|, in no particular order.  May repeat an app (one per violated
+  // window); never misses one.  Does not consume entries — the caller
+  // re-evaluates each reported app through the normal TakeViolated path.
   void CollectViolatedApps(ResourceId resource, double level, std::vector<AppId>* out) const;
 
   // As above, restricted to windows registered (or reclassified) under
-  // |klass|.  Cost is O(log table + violated in class): other classes'
-  // windows are never touched, which is what keeps the indexed
-  // re-evaluation sublinear when classes sit at widely different levels.
+  // |klass|.  Cost is O(violated in class): other classes' windows are
+  // never touched, which is what keeps the indexed re-evaluation sublinear
+  // when classes sit at widely different levels.
   void CollectViolatedApps(ResourceId resource, uint32_t klass, double level,
                            std::vector<AppId>* out) const;
 
   size_t size() const { return by_id_.size(); }
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr size_t kNumResources = std::size(kAllResources);
+
   struct Slot {
     Entry entry;
     uint32_t klass = 0;
-    bool occupied = false;
+    // Positions in the class's lower and upper heaps.
+    uint32_t lower_pos = kNone;
+    uint32_t upper_pos = kNone;
+    // Neighbours in the (resource, app) bucket list.
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
   };
 
-  static constexpr size_t kNumResources = std::size(kAllResources);
+  // A heap element carries its bound inline, so sifts and probes compare
+  // contiguous memory and touch a slot only to update its position.
+  struct HeapNode {
+    double bound;
+    uint32_t slot;
+  };
 
-  // Index keys order by class first, then window bound with the owning id
-  // as tiebreak, so equal bounds coexist, iteration is deterministic, and
-  // one class's windows form a contiguous key range.
-  using BoundKey = std::tuple<uint32_t, double, RequestId>;
+  // One class's windows on one resource.  |lower| is a max-heap on window
+  // lower bounds (the root is the largest, so windows with lower > level
+  // form a subtree-closed prefix of the walk); |upper| is a min-heap on
+  // upper bounds, mirrored.
+  struct ClassIndex {
+    std::vector<HeapNode> lower;
+    std::vector<HeapNode> upper;
+  };
 
-  // Unlinks the slot from the id map and interval indexes and returns it to
-  // the free list.  Bucket membership is the caller's to maintain.
+  struct ResourceIndex {
+    std::vector<uint32_t> bucket_head;  // by AppId; kNone = no windows
+    std::vector<ClassIndex> classes;    // by class
+  };
+
+  // Which of the two heaps of a ClassIndex an operation addresses.
+  enum class Side { kLower, kUpper };
+
+  static size_t ResourceSlot(ResourceId resource);
+  std::vector<HeapNode>& HeapOf(ClassIndex& index, Side side);
+  uint32_t& PosOf(uint32_t slot, Side side);
+  // Whether node |a| belongs nearer the root than node |b| on |side|.
+  static bool Above(Side side, const HeapNode& a, const HeapNode& b);
+  void SiftUp(std::vector<HeapNode>& heap, Side side, uint32_t pos);
+  void SiftDown(std::vector<HeapNode>& heap, Side side, uint32_t pos);
+  void HeapInsert(ClassIndex& index, Side side, double bound, uint32_t slot);
+  void HeapErase(ClassIndex& index, Side side, uint32_t slot);
+
+  // Adds the slot to / removes it from its class's heaps.
+  void IndexInsert(size_t r, uint32_t index);
+  void IndexErase(size_t r, uint32_t index);
+  // Links the slot into / unlinks it from its (resource, app) bucket.
+  void BucketLink(size_t r, uint32_t index);
+  void BucketUnlink(size_t r, uint32_t index);
+  uint32_t BucketHead(size_t r, AppId app) const;
+
+  // Unlinks the slot from the id map, its bucket and the interval index and
+  // returns it to the free list.
   void Release(uint32_t index);
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;  // LIFO: the hottest slot is reused first
   std::unordered_map<RequestId, uint32_t> by_id_;
-  std::map<std::pair<size_t, AppId>, std::vector<uint32_t>> buckets_;
-  std::array<std::map<BoundKey, uint32_t>, kNumResources> lower_index_;
-  std::array<std::map<BoundKey, uint32_t>, kNumResources> upper_index_;
-  // Live window count per class, per resource — the class set the global
-  // CollectViolatedApps overload iterates.
-  std::array<std::map<uint32_t, size_t>, kNumResources> class_counts_;
+  std::array<ResourceIndex, kNumResources> resources_;
   RequestId next_id_ = 1;
 };
 

@@ -15,6 +15,8 @@
 #include <limits>
 #include <string>
 
+#include "src/core/status.h"
+
 namespace odyssey {
 
 // Identifies an application registered with the Odyssey client.
@@ -86,11 +88,15 @@ struct AdmissionDecision {
 // reports the arbitration verdict: a request can fail either because the
 // current level sits outside the proposed window (the paper's Figure 3
 // semantics, verdict stays kAdmitted) or because an admission-controlling
-// strategy rejected it (verdict kRejected with a reason).
+// strategy rejected it (verdict kRejected with a reason); both are
+// kOutOfBounds.  kInvalidArgument means the window itself was malformed
+// (a non-finite or inverted bound): nothing was registered and no level or
+// admission decision was consulted.
 struct [[nodiscard]] RequestResult {
   bool ok() const { return status_ok; }
 
   bool status_ok = false;
+  StatusCode code = StatusCode::kOutOfBounds;
   RequestId id = 0;
   double current_level = 0.0;
   AdmissionDecision admission;

@@ -7,9 +7,24 @@
 
 namespace odyssey {
 
+namespace {
+
+// A queue that never fully drains is compacted once this many delivered
+// upcalls sit before its head and they outnumber the pending ones.
+constexpr size_t kCompactAfter = 32;
+
+}  // namespace
+
+UpcallDispatcher::AppQueue& UpcallDispatcher::QueueFor(AppId app) {
+  if (app >= queues_.size()) {
+    queues_.resize(app + 1);
+  }
+  return queues_[app];
+}
+
 uint64_t UpcallDispatcher::Post(AppId app, RequestId request, ResourceId resource, double level,
                                 UpcallHandler handler) {
-  AppQueue& q = queues_[app];
+  AppQueue& q = QueueFor(app);
   const uint64_t seq = q.next_seq++;
   q.queue.push_back(PendingUpcall{seq, request, resource, level, sim_->now(), std::move(handler)});
   ++queued_;
@@ -21,27 +36,24 @@ uint64_t UpcallDispatcher::Post(AppId app, RequestId request, ResourceId resourc
   return seq;
 }
 
-void UpcallDispatcher::Block(AppId app) { queues_[app].blocked = true; }
+void UpcallDispatcher::Block(AppId app) { QueueFor(app).blocked = true; }
 
 void UpcallDispatcher::Unblock(AppId app) {
-  AppQueue& q = queues_[app];
-  q.blocked = false;
+  QueueFor(app).blocked = false;
   ScheduleDelivery(app);
 }
 
 bool UpcallDispatcher::blocked(AppId app) const {
-  const auto it = queues_.find(app);
-  return it != queues_.end() && it->second.blocked;
+  return app < queues_.size() && queues_[app].blocked;
 }
 
 uint64_t UpcallDispatcher::last_delivered_seq(AppId app) const {
-  const auto it = queues_.find(app);
-  return it == queues_.end() ? 0 : it->second.last_delivered;
+  return app < queues_.size() ? queues_[app].last_delivered : 0;
 }
 
 void UpcallDispatcher::ScheduleDelivery(AppId app) {
-  AppQueue& q = queues_[app];
-  if (q.blocked || q.delivery_scheduled || q.queue.empty()) {
+  AppQueue& q = QueueFor(app);
+  if (q.blocked || q.delivery_scheduled || q.head == q.queue.size()) {
     return;
   }
   q.delivery_scheduled = true;
@@ -67,11 +79,17 @@ void UpcallDispatcher::FireBatch() {
 void UpcallDispatcher::DeliverNext(AppId app) {
   AppQueue& q = queues_[app];
   q.delivery_scheduled = false;
-  if (q.blocked || q.queue.empty()) {
+  if (q.blocked || q.head == q.queue.size()) {
     return;
   }
-  PendingUpcall upcall = std::move(q.queue.front());
-  q.queue.pop_front();
+  PendingUpcall upcall = std::move(q.queue[q.head++]);
+  if (q.head == q.queue.size()) {
+    q.queue.clear();
+    q.head = 0;
+  } else if (q.head >= kCompactAfter && 2 * q.head >= q.queue.size()) {
+    q.queue.erase(q.queue.begin(), q.queue.begin() + static_cast<std::ptrdiff_t>(q.head));
+    q.head = 0;
+  }
   // Exactly-once, in-order delivery (§4.3): sequence numbers are assigned
   // consecutively at Post time and the queue is FIFO, so the next delivery
   // must be exactly the successor of the last — a gap means a lost upcall,

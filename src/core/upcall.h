@@ -5,6 +5,11 @@
 // keeps a FIFO queue per application; deliveries are scheduled through the
 // simulation so handlers always run from the event loop, never re-entrantly
 // from the code that noticed the resource change.
+//
+// Per-app state lives in a vector indexed by the dense AppId.  Each FIFO is
+// a vector plus a head index that resets when the queue drains, so an idle
+// app costs a few words instead of a std::deque's eagerly allocated chunk
+// and map (about 650 bytes each, which dominated memory at 100k apps).
 
 #ifndef SRC_CORE_UPCALL_H_
 #define SRC_CORE_UPCALL_H_
@@ -12,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -47,11 +51,13 @@ class UpcallDispatcher {
   void Block(AppId app);
   // Unblocks and drains any queued upcalls, still in order.
   void Unblock(AppId app);
+  // Whether |app| is blocked (false for an app the dispatcher never saw).
   bool blocked(AppId app) const;
 
   // Total upcalls delivered (for tests and diagnostics).
   uint64_t delivered_count() const { return delivered_; }
-  // Last sequence number delivered to |app| (0 if none).
+  // Last sequence number delivered to |app| (0 if none, or if the
+  // dispatcher never saw the app).
   uint64_t last_delivered_seq(AppId app) const;
 
   // Upcall latency: sim time from Post() to the handler actually running.
@@ -81,8 +87,13 @@ class UpcallDispatcher {
     UpcallHandler handler;
   };
 
+  // FIFO of pending upcalls: queue[head..] are undelivered.  Draining
+  // resets both, so a queue's storage is reused rather than regrown; a
+  // queue that never drains is compacted once its delivered prefix
+  // dominates (see DeliverNext).
   struct AppQueue {
-    std::deque<PendingUpcall> queue;
+    std::vector<PendingUpcall> queue;
+    size_t head = 0;
     uint64_t next_seq = 1;
     uint64_t last_delivered = 0;
     bool blocked = false;
@@ -102,6 +113,10 @@ class UpcallDispatcher {
     std::vector<AppId> apps;
   };
 
+  // The queue of |app|, created (with every lower id's) on first use.
+  // References are invalidated by the next call for a higher id, so never
+  // hold one across a handler.
+  AppQueue& QueueFor(AppId app);
   void ScheduleDelivery(AppId app);
   void FireBatch();
   void DeliverNext(AppId app);
@@ -109,7 +124,7 @@ class UpcallDispatcher {
   Simulation* sim_;
   Duration delivery_latency_;
   DeliveryObserver observer_;
-  std::map<AppId, AppQueue> queues_;
+  std::vector<AppQueue> queues_;  // by AppId
   std::deque<Batch> batches_;
   uint64_t delivered_ = 0;
   size_t queued_ = 0;

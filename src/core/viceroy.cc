@@ -1,6 +1,7 @@
 #include "src/core/viceroy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/core/contract.h"
@@ -31,15 +32,13 @@ Viceroy::Viceroy(Simulation* sim, std::unique_ptr<BandwidthStrategy> strategy,
 }
 
 AppId Viceroy::RegisterApplication(std::string name) {
-  const AppId id = next_app_++;
-  apps_[id] = std::move(name);
-  return id;
+  apps_.push_back(std::move(name));
+  return apps_.size();
 }
 
 const std::string& Viceroy::ApplicationName(AppId app) const {
   static const std::string kUnknown = "<unknown>";
-  const auto it = apps_.find(app);
-  return it == apps_.end() ? kUnknown : it->second;
+  return app == 0 || app > apps_.size() ? kUnknown : apps_[app - 1];
 }
 
 void Viceroy::AttachConnection(AppId app, Endpoint* endpoint) {
@@ -63,13 +62,19 @@ uint32_t Viceroy::WindowClassOf(AppId app) const {
 }
 
 RequestResult Viceroy::Request(AppId app, const ResourceDescriptor& descriptor) {
-  // A window of tolerance is an interval (Figure 3b); an inverted one is a
-  // caller bug that would make every level "out of bounds".
-  ODY_DCHECK(descriptor.lower <= descriptor.upper, "inverted window of tolerance");
   RequestResult result;
+  // A window of tolerance is a finite interval (Figure 3b).  A NaN bound
+  // would pass the level test below (every comparison with NaN is false)
+  // and then break the bound-ordered interval index, hiding other apps'
+  // violated windows from it; an inverted one makes every level "out of
+  // bounds".  Reject both before anything is consulted or registered.
+  if (!std::isfinite(descriptor.lower) || !std::isfinite(descriptor.upper) ||
+      descriptor.lower > descriptor.upper) {
+    result.code = StatusCode::kInvalidArgument;
+    return result;
+  }
   result.current_level = CurrentLevel(app, descriptor.resource);
   if (result.current_level < descriptor.lower || result.current_level > descriptor.upper) {
-    result.status_ok = false;
     ODY_TRACE_INSTANT2(sim_->trace(), kViceroy, "request_denied", sim_->now(), app, "resource",
                        static_cast<int>(descriptor.resource), "level", result.current_level);
     return result;
@@ -83,11 +88,11 @@ RequestResult Viceroy::Request(AppId app, const ResourceDescriptor& descriptor) 
                        static_cast<int>(result.admission.verdict), "reason",
                        result.admission.reason_code);
     if (result.admission.verdict == AdmissionVerdict::kRejected) {
-      result.status_ok = false;
       return result;
     }
   }
   result.status_ok = true;
+  result.code = StatusCode::kOk;
   result.id = requests_.Register(app, descriptor, WindowClassOf(app));
   if (broker != nullptr) {
     broker->OnWindowRegistered(app, result.id, descriptor);
@@ -121,9 +126,12 @@ double Viceroy::CurrentLevel(AppId app, ResourceId resource) const {
   }
 }
 
-void Viceroy::SetStaticLevel(ResourceId resource, double level) {
+Status Viceroy::SetStaticLevel(ResourceId resource, double level) {
   if (resource == ResourceId::kNetworkBandwidth || resource == ResourceId::kNetworkLatency) {
-    return;  // estimation-driven; not settable
+    return UnsupportedError("estimation-driven resource is not settable");
+  }
+  if (!std::isfinite(level)) {
+    return InvalidArgumentError("non-finite resource level");
   }
   static_levels_[resource] = level;
   ODY_TRACE_INSTANT1(sim_->trace(), kViceroy, "static_level", sim_->now(),
@@ -138,11 +146,12 @@ void Viceroy::SetStaticLevel(ResourceId resource, double level) {
     for (const AppId app : candidates_) {
       EvaluateApp(app, resource, level);
     }
-    return;
+    return OkStatus();
   }
-  for (const auto& [app, name] : apps_) {
+  for (AppId app = 1; app <= apps_.size(); ++app) {
     EvaluateApp(app, resource, level);
   }
+  return OkStatus();
 }
 
 void Viceroy::Reevaluate() {
@@ -173,7 +182,7 @@ void Viceroy::Reevaluate() {
     }
   }
   candidates_.clear();
-  for (const auto& [app, name] : apps_) {
+  for (AppId app = 1; app <= apps_.size(); ++app) {
     candidates_.push_back(app);
   }
   EvaluateCandidates();
@@ -196,13 +205,15 @@ void Viceroy::EvaluateApp(AppId app, ResourceId resource, double level) {
   // ...); a negative level means an estimator or accounting bug upstream.
   ODY_DCHECK(level >= 0.0, "negative resource availability");
   ArbitrationStrategy* broker = strategy_->arbitration();
-  for (const auto& entry : requests_.TakeViolated(resource, app, level)) {
+  for (auto& entry : requests_.TakeViolated(resource, app, level)) {
     // Windows of tolerance are one-shot: taking one out of the table to
     // deliver its upcall releases any admission commitment behind it.
     if (broker != nullptr) {
       broker->OnWindowConsumed(entry.id);
     }
-    const uint64_t seq = upcalls_.Post(app, entry.id, resource, level, entry.descriptor.handler);
+    // The entry left the table, so its handler moves into the queue.
+    const uint64_t seq =
+        upcalls_.Post(app, entry.id, resource, level, std::move(entry.descriptor.handler));
     ODY_DCHECK(seq > upcalls_.last_delivered_seq(app), "posted upcall not ahead of deliveries");
   }
 }

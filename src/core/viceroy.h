@@ -49,7 +49,10 @@ class Viceroy {
   Viceroy& operator=(const Viceroy&) = delete;
 
   // Registers an application; the returned id scopes requests and upcalls.
+  // Ids are dense: the first application is 1, and each later one the next
+  // integer.
   AppId RegisterApplication(std::string name);
+  // The registered name, or "<unknown>" for 0 and ids never handed out.
   const std::string& ApplicationName(AppId app) const;
 
   // Wardens attach each server connection they open on behalf of an
@@ -59,8 +62,10 @@ class Viceroy {
 
   // The request system call (§4.2, Figure 3a).  If the resource is within
   // the window, registers it and returns ok with an id.  Otherwise returns
-  // !ok with the current level; the caller is expected to try again with a
-  // window appropriate to a new fidelity.
+  // !ok (kOutOfBounds) with the current level; the caller is expected to try
+  // again with a window appropriate to a new fidelity.  A window with a
+  // non-finite or inverted bound is rejected with kInvalidArgument before
+  // any level or admission decision is consulted.
   RequestResult Request(AppId app, const ResourceDescriptor& descriptor);
 
   // The cancel system call: discards a registration.
@@ -73,8 +78,10 @@ class Viceroy {
   bool HasBandwidthEstimate() const { return strategy_->HasEstimate(); }
 
   // Sets the level of a statically managed resource (disk cache, CPU,
-  // battery, money), triggering upcalls for any violated windows.
-  void SetStaticLevel(ResourceId resource, double level);
+  // battery, money), triggering upcalls for any violated windows.  A
+  // non-finite level is kInvalidArgument and the estimation-driven
+  // resources (bandwidth, latency) are kUnsupported; neither changes state.
+  Status SetStaticLevel(ResourceId resource, double level);
 
   BandwidthStrategy& strategy() { return *strategy_; }
   const BandwidthStrategy& strategy() const { return *strategy_; }
@@ -100,9 +107,10 @@ class Viceroy {
   std::unique_ptr<BandwidthStrategy> strategy_;
   UpcallDispatcher upcalls_;
   RequestTable requests_;
-  std::map<AppId, std::string> apps_;
+  // Name of app id i + 1 at index i: ids are handed out densely from 1 and
+  // never retired, so the full-scan paths visit ids 1..apps_.size().
+  std::vector<std::string> apps_;
   std::map<ResourceId, double> static_levels_;
-  AppId next_app_ = 1;
   ReevaluateMode reevaluate_mode_ = ReevaluateMode::kIndexed;
   // Candidate scratch, reused across re-evaluations to avoid reallocating
   // in the hot notification path.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/estimator/naive_supply_model.h"
+
 namespace odyssey {
 
 // --- SupplyModel (incremental) ---
@@ -15,12 +17,32 @@ namespace odyssey {
 SupplyModel::SupplyModel(const SupplyModelConfig& config)
     : config_(config), supply_(config.supply_window) {}
 
+const SupplyModel::PerConnection* SupplyModel::Find(ConnectionId connection) const {
+  return connection < connections_.size() && connections_[connection].has_value()
+             ? &*connections_[connection]
+             : nullptr;
+}
+
+SupplyModel::PerConnection* SupplyModel::Find(ConnectionId connection) {
+  return connection < connections_.size() && connections_[connection].has_value()
+             ? &*connections_[connection]
+             : nullptr;
+}
+
 void SupplyModel::AddConnection(ConnectionId connection) {
-  connections_.try_emplace(connection, config_);
+  if (connection >= connections_.size()) {
+    connections_.resize(connection + 1);
+  }
+  if (!connections_[connection].has_value()) {
+    connections_[connection].emplace(config_);
+    ++registered_;
+  }
 }
 
 void SupplyModel::RemoveConnection(ConnectionId connection) {
-  if (connections_.erase(connection) > 0) {
+  if (Find(connection) != nullptr) {
+    connections_[connection].reset();
+    --registered_;
     const auto it = std::lower_bound(live_.begin(), live_.end(), connection);
     if (it != live_.end() && *it == connection) {
       live_.erase(it);
@@ -30,22 +52,22 @@ void SupplyModel::RemoveConnection(ConnectionId connection) {
 }
 
 void SupplyModel::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
-  auto it = connections_.find(connection);
-  if (it == connections_.end()) {
+  PerConnection* state = Find(connection);
+  if (state == nullptr) {
     return;
   }
-  it->second.estimator.OnRoundTrip(obs);
+  state->estimator.OnRoundTrip(obs);
 }
 
 void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservation& obs) {
-  auto it = connections_.find(connection);
-  if (it == connections_.end()) {
+  PerConnection* state = Find(connection);
+  if (state == nullptr) {
     return;
   }
-  const double raw_bps = it->second.estimator.OnThroughput(obs);
+  const double raw_bps = state->estimator.OnThroughput(obs);
   // The window's bytes arrived over its whole transfer span, not at the
   // completion instant.
-  it->second.usage.Record(obs.at - obs.elapsed, obs.at, obs.window_bytes);
+  state->usage.Record(obs.at - obs.elapsed, obs.at, obs.window_bytes);
   const auto pos = std::lower_bound(live_.begin(), live_.end(), connection);
   if (pos == live_.end() || *pos != connection) {
     live_.insert(pos, connection);
@@ -64,7 +86,7 @@ void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservat
 }
 
 void SupplyModel::OnFailure(ConnectionId connection, const FailureObservation& obs) {
-  if (!connections_.contains(connection)) {
+  if (Find(connection) == nullptr) {
     return;
   }
   // A failed exchange is the only downward evidence a dead link produces:
@@ -84,9 +106,9 @@ void SupplyModel::ScanAt(Time now) const {
   int active = 0;
   size_t keep = 0;
   for (const ConnectionId id : live_) {
-    const auto it = connections_.find(id);
+    const UsageMeter& usage = connections_[id]->usage;
     ++scan_ops_;
-    const double rate = it->second.usage.RateAt(now);
+    const double rate = usage.RateAt(now);
     aggregate += rate;
     if (rate > 16.0) {  // UsageMeter::ActiveAt's default threshold
       ++active;
@@ -94,7 +116,7 @@ void SupplyModel::ScanAt(Time now) const {
     // Eviction: RateAt pruned the meter; once empty it stays empty (event
     // end times are non-decreasing), so the connection is idle for good
     // until its next Record.
-    if (!it->second.usage.empty()) {
+    if (!usage.empty()) {
       live_[keep++] = id;
     }
   }
@@ -113,10 +135,13 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   }
   const int active = ActiveConnectionCount(now);
 
-  const auto it = connections_.find(connection);
-  const bool known = it != connections_.end();
+  // One meter evaluation serves both the activity test and the competed-for
+  // share below: RateAt is a pure function of |now| once pruned, so the
+  // second evaluation the naive model performs would return the same bits.
+  const PerConnection* state = Find(connection);
   ++scan_ops_;
-  const bool self_active = known && it->second.usage.ActiveAt(now);
+  const double rate = state != nullptr ? state->usage.RateAt(now) : 0.0;
+  const bool self_active = state != nullptr && rate > 16.0;  // ActiveAt's threshold
 
   // Fair share: the expected lower bound (§6.2.1).  If this connection is
   // not among the currently active ones, it would join them, so split one
@@ -124,7 +149,7 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   const int share_ways = active + (self_active ? 0 : 1);
   const double fair_share = supply / static_cast<double>(share_ways < 1 ? 1 : share_ways);
 
-  if (!known) {
+  if (state == nullptr) {
     return fair_share;
   }
 
@@ -140,7 +165,7 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
     return fair_share;
   }
   const double slack = supply > total_usage ? supply - total_usage : 0.0;
-  const double competed_for = slack * (it->second.usage.RateAt(now) / total_usage);
+  const double competed_for = slack * (rate / total_usage);
   const double availability = fair_share + competed_for;
   return availability < supply ? availability : supply;
 }
@@ -148,137 +173,25 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
 int SupplyModel::ActiveConnectionCount(Time now) const {
   ScanAt(now);
   int active = cached_active_;
-  if (active == 0 && !connections_.empty()) {
+  if (active == 0 && registered_ > 0) {
     active = 1;
   }
   return active;
 }
 
 const ConnectionEstimator* SupplyModel::EstimatorFor(ConnectionId connection) const {
-  const auto it = connections_.find(connection);
-  return it == connections_.end() ? nullptr : &it->second.estimator;
+  const PerConnection* state = Find(connection);
+  return state == nullptr ? nullptr : &state->estimator;
 }
 
 double SupplyModel::UsageRateFor(ConnectionId connection, Time now) const {
-  const auto it = connections_.find(connection);
-  return it == connections_.end() ? 0.0 : it->second.usage.RateAt(now);
+  const PerConnection* state = Find(connection);
+  return state == nullptr ? 0.0 : state->usage.RateAt(now);
 }
 
 void SupplyModel::CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const {
   (void)now;  // the unevicted live set is a valid superset at any instant
   out->insert(out->end(), live_.begin(), live_.end());
-}
-
-// --- NaiveSupplyModel (reference) ---
-//
-// The pre-scale implementation, verbatim except for the scan_ops counter:
-// every estimator update and every availability query rescans all
-// registered connections.
-
-NaiveSupplyModel::NaiveSupplyModel(const SupplyModelConfig& config)
-    : config_(config), supply_(config.supply_window) {}
-
-void NaiveSupplyModel::AddConnection(ConnectionId connection) {
-  connections_.try_emplace(connection, config_);
-}
-
-void NaiveSupplyModel::RemoveConnection(ConnectionId connection) {
-  connections_.erase(connection);
-}
-
-void NaiveSupplyModel::OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) {
-  auto it = connections_.find(connection);
-  if (it == connections_.end()) {
-    return;
-  }
-  it->second.estimator.OnRoundTrip(obs);
-}
-
-void NaiveSupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservation& obs) {
-  auto it = connections_.find(connection);
-  if (it == connections_.end()) {
-    return;
-  }
-  const double raw_bps = it->second.estimator.OnThroughput(obs);
-  it->second.usage.Record(obs.at - obs.elapsed, obs.at, obs.window_bytes);
-
-  double aggregate = 0.0;
-  for (const auto& [id, state] : connections_) {
-    ++scan_ops_;
-    aggregate += state.usage.RateAt(obs.at);
-  }
-  supply_.Push(obs.at, raw_bps > aggregate ? raw_bps : aggregate);
-}
-
-void NaiveSupplyModel::OnFailure(ConnectionId connection, const FailureObservation& obs) {
-  if (!connections_.contains(connection)) {
-    return;
-  }
-  supply_.Push(obs.at, 0.0);
-}
-
-double NaiveSupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
-  const double supply = TotalSupply();
-  if (supply <= 0.0) {
-    return 0.0;
-  }
-  const int active = ActiveConnectionCount(now);
-
-  const auto it = connections_.find(connection);
-  const bool known = it != connections_.end();
-  ++scan_ops_;
-  const bool self_active = known && it->second.usage.ActiveAt(now);
-
-  const int share_ways = active + (self_active ? 0 : 1);
-  const double fair_share = supply / static_cast<double>(share_ways < 1 ? 1 : share_ways);
-
-  if (!known) {
-    return fair_share;
-  }
-
-  double total_usage = 0.0;
-  for (const auto& [id, state] : connections_) {
-    ++scan_ops_;
-    total_usage += state.usage.RateAt(now);
-  }
-  if (total_usage <= 0.0) {
-    return fair_share;
-  }
-  const double slack = supply > total_usage ? supply - total_usage : 0.0;
-  const double competed_for = slack * (it->second.usage.RateAt(now) / total_usage);
-  const double availability = fair_share + competed_for;
-  return availability < supply ? availability : supply;
-}
-
-int NaiveSupplyModel::ActiveConnectionCount(Time now) const {
-  int active = 0;
-  for (const auto& [id, state] : connections_) {
-    ++scan_ops_;
-    if (state.usage.ActiveAt(now)) {
-      ++active;
-    }
-  }
-  if (active == 0 && !connections_.empty()) {
-    active = 1;
-  }
-  return active;
-}
-
-const ConnectionEstimator* NaiveSupplyModel::EstimatorFor(ConnectionId connection) const {
-  const auto it = connections_.find(connection);
-  return it == connections_.end() ? nullptr : &it->second.estimator;
-}
-
-double NaiveSupplyModel::UsageRateFor(ConnectionId connection, Time now) const {
-  const auto it = connections_.find(connection);
-  return it == connections_.end() ? 0.0 : it->second.usage.RateAt(now);
-}
-
-void NaiveSupplyModel::CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const {
-  (void)now;  // the naive model has no live set; every connection qualifies
-  for (const auto& [id, state] : connections_) {
-    out->push_back(id);
-  }
 }
 
 std::unique_ptr<SupplyModelInterface> MakeSupplyModel(SupplyModelKind kind,

@@ -31,16 +31,20 @@
 //     O(registered).  Aggregate and active-count results are cached per
 //     (time, mutation version), so a burst of availability queries at one
 //     instant — the viceroy re-evaluating every app — pays for one scan.
-//   * NaiveSupplyModel — the original full-rescan implementation, kept
-//     verbatim as the reference side of the differential tests
-//     (tests/scale_differential_test.cc).  Never used in production paths.
+//     Per-connection state sits in a vector indexed by the dense
+//     ConnectionId, so a lookup is one bounds check and one load.
+//   * NaiveSupplyModel (naive_supply_model.h) — the original full-rescan
+//     implementation, kept verbatim as the reference side of the
+//     differential tests (tests/scale_differential_test.cc).  Never used
+//     in production paths.
 
 #ifndef SRC_ESTIMATOR_SUPPLY_MODEL_H_
 #define SRC_ESTIMATOR_SUPPLY_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/estimator/connection_estimator.h"
@@ -139,12 +143,19 @@ class SupplyModel : public SupplyModelInterface {
         : estimator(config.estimator), usage(config.usage_tau) {}
   };
 
+  // The state of |connection|, or null if it is not registered.
+  const PerConnection* Find(ConnectionId connection) const;
+  PerConnection* Find(ConnectionId connection);
+
   // Recomputes (and caches) the aggregate usage rate and active count over
   // the live set at |now|, evicting connections whose meters pruned empty.
   void ScanAt(Time now) const;
 
   SupplyModelConfig config_;
-  std::map<ConnectionId, PerConnection> connections_;
+  // Indexed by ConnectionId; disengaged for ids not (or no longer)
+  // registered.  |registered_| counts the engaged entries.
+  std::vector<std::optional<PerConnection>> connections_;
+  size_t registered_ = 0;
   SlidingMax supply_;
 
   // Ascending ids of connections whose meters may hold unexpired events.
@@ -159,42 +170,6 @@ class SupplyModel : public SupplyModelInterface {
   mutable int cached_active_ = 0;
 
   uint64_t version_ = 0;  // bumped whenever a meter or the live set changes
-  mutable uint64_t scan_ops_ = 0;
-};
-
-// The original O(registered-connections) implementation, preserved as the
-// reference side of the differential tests.
-class NaiveSupplyModel : public SupplyModelInterface {
- public:
-  explicit NaiveSupplyModel(const SupplyModelConfig& config = {});
-
-  const char* name() const override { return "naive"; }
-  void AddConnection(ConnectionId connection) override;
-  void RemoveConnection(ConnectionId connection) override;
-  void OnRoundTrip(ConnectionId connection, const RoundTripObservation& obs) override;
-  void OnThroughput(ConnectionId connection, const ThroughputObservation& obs) override;
-  void OnFailure(ConnectionId connection, const FailureObservation& obs) override;
-  double TotalSupply() const override { return supply_.value(); }
-  bool has_supply() const override { return supply_.has_value(); }
-  double AvailabilityFor(ConnectionId connection, Time now) const override;
-  int ActiveConnectionCount(Time now) const override;
-  const ConnectionEstimator* EstimatorFor(ConnectionId connection) const override;
-  double UsageRateFor(ConnectionId connection, Time now) const override;
-  void CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const override;
-  uint64_t scan_ops() const override { return scan_ops_; }
-
- private:
-  struct PerConnection {
-    ConnectionEstimator estimator;
-    UsageMeter usage;
-
-    explicit PerConnection(const SupplyModelConfig& config)
-        : estimator(config.estimator), usage(config.usage_tau) {}
-  };
-
-  SupplyModelConfig config_;
-  std::map<ConnectionId, PerConnection> connections_;
-  SlidingMax supply_;
   mutable uint64_t scan_ops_ = 0;
 };
 

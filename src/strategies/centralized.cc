@@ -40,8 +40,25 @@ CentralizedStrategy::CentralizedStrategy(Simulation* sim,
     : sim_(sim), model_(std::move(model)) {}
 
 CentralizedStrategy::~CentralizedStrategy() {
-  for (auto& [connection, endpoint] : endpoints_) {
-    endpoint->log().RemoveListener(this);
+  for (Endpoint* endpoint : endpoints_) {
+    if (endpoint != nullptr) {
+      endpoint->log().RemoveListener(this);
+    }
+  }
+}
+
+const std::vector<ConnectionId>& CentralizedStrategy::ConnectionsOf(AppId app) const {
+  static const std::vector<ConnectionId> kNone;
+  return app < app_connections_.size() ? app_connections_[app] : kNone;
+}
+
+void CentralizedStrategy::MarkRttDirty(AppId app) {
+  if (app >= rtt_dirty_flag_.size()) {
+    rtt_dirty_flag_.resize(app + 1, 0);
+  }
+  if (rtt_dirty_flag_[app] == 0) {
+    rtt_dirty_flag_[app] = 1;
+    rtt_dirty_.push_back(app);
   }
 }
 
@@ -58,43 +75,48 @@ void CentralizedStrategy::BumpCount(int from, int to) {
 }
 
 void CentralizedStrategy::AttachConnection(AppId app, Endpoint* endpoint) {
-  model_->AddConnection(endpoint->id());
-  owner_[endpoint->id()] = app;
-  endpoints_[endpoint->id()] = endpoint;
+  const ConnectionId id = endpoint->id();
+  model_->AddConnection(id);
+  if (id >= endpoints_.size()) {
+    endpoints_.resize(id + 1, nullptr);
+    owner_.resize(id + 1, 0);
+  }
+  if (endpoints_[id] == nullptr) {
+    ++attached_;
+  }
+  owner_[id] = app;
+  endpoints_[id] = endpoint;
+  if (app >= app_connections_.size()) {
+    app_connections_.resize(app + 1);
+  }
   std::vector<ConnectionId>& conns = app_connections_[app];
   const int before = static_cast<int>(conns.size());
-  conns.insert(std::lower_bound(conns.begin(), conns.end(), endpoint->id()), endpoint->id());
+  conns.insert(std::lower_bound(conns.begin(), conns.end(), id), id);
   BumpCount(before, before + 1);
-  rtt_dirty_.insert(app);
+  MarkRttDirty(app);
   endpoint->log().AddListener(this);
 }
 
 void CentralizedStrategy::DetachConnection(Endpoint* endpoint) {
+  const ConnectionId id = endpoint->id();
   endpoint->log().RemoveListener(this);
-  model_->RemoveConnection(endpoint->id());
-  const auto owner_it = owner_.find(endpoint->id());
-  if (owner_it != owner_.end()) {
-    const AppId app = owner_it->second;
-    const auto app_it = app_connections_.find(app);
-    std::vector<ConnectionId>& conns = app_it->second;
-    conns.erase(std::find(conns.begin(), conns.end(), endpoint->id()));
-    BumpCount(static_cast<int>(conns.size()) + 1, static_cast<int>(conns.size()));
-    if (conns.empty()) {
-      app_connections_.erase(app_it);
-    }
-    rtt_dirty_.insert(app);
-    owner_.erase(owner_it);
+  model_->RemoveConnection(id);
+  if (id >= endpoints_.size() || endpoints_[id] == nullptr) {
+    return;
   }
-  endpoints_.erase(endpoint->id());
+  const AppId app = owner_[id];
+  std::vector<ConnectionId>& conns = app_connections_[app];
+  conns.erase(std::find(conns.begin(), conns.end(), id));
+  BumpCount(static_cast<int>(conns.size()) + 1, static_cast<int>(conns.size()));
+  MarkRttDirty(app);
+  owner_[id] = 0;
+  endpoints_[id] = nullptr;
+  --attached_;
 }
 
 double CentralizedStrategy::AvailabilityFor(AppId app, Time now) const {
   double total = 0.0;
-  const auto it = app_connections_.find(app);
-  if (it == app_connections_.end()) {
-    return total;
-  }
-  for (const ConnectionId connection : it->second) {
+  for (const ConnectionId connection : ConnectionsOf(app)) {
     total += model_->AvailabilityFor(connection, now);
   }
   return total;
@@ -106,11 +128,7 @@ double CentralizedStrategy::TotalSupply(Time now) const {
 }
 
 Duration CentralizedStrategy::SmoothedRttFor(AppId app) const {
-  const auto it = app_connections_.find(app);
-  if (it == app_connections_.end()) {
-    return 0;
-  }
-  for (const ConnectionId connection : it->second) {
+  for (const ConnectionId connection : ConnectionsOf(app)) {
     const ConnectionEstimator* estimator = model_->EstimatorFor(connection);
     if (estimator != nullptr) {
       return estimator->smoothed_rtt();
@@ -120,13 +138,11 @@ Duration CentralizedStrategy::SmoothedRttFor(AppId app) const {
 }
 
 int CentralizedStrategy::ConnectionCountFor(AppId app) const {
-  const auto it = app_connections_.find(app);
-  return it == app_connections_.end() ? 0 : static_cast<int>(it->second.size());
+  return static_cast<int>(ConnectionsOf(app).size());
 }
 
 AppId CentralizedStrategy::OwnerOf(ConnectionId connection) const {
-  const auto it = owner_.find(connection);
-  return it == owner_.end() ? 0 : it->second;
+  return connection < owner_.size() ? owner_[connection] : 0;
 }
 
 ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
@@ -138,12 +154,15 @@ ReevalHint CentralizedStrategy::TakeReevalHint(Time now) {
   std::vector<ConnectionId> live;
   model_->CollectLiveConnections(now, &live);
   for (const ConnectionId connection : live) {
-    const auto it = owner_.find(connection);
-    if (it != owner_.end()) {
-      hint.dirty.push_back(it->second);
+    const AppId owner = OwnerOf(connection);
+    if (owner != 0) {
+      hint.dirty.push_back(owner);
     }
   }
   hint.dirty.insert(hint.dirty.end(), rtt_dirty_.begin(), rtt_dirty_.end());
+  for (const AppId app : rtt_dirty_) {
+    rtt_dirty_flag_[app] = 0;
+  }
   rtt_dirty_.clear();
   std::sort(hint.dirty.begin(), hint.dirty.end());
   hint.dirty.erase(std::unique(hint.dirty.begin(), hint.dirty.end()), hint.dirty.end());
@@ -173,9 +192,9 @@ void CentralizedStrategy::OnRoundTrip(ConnectionId connection, const RoundTripOb
   ODY_TRACE_INSTANT1(sim_->trace(), kEstimator, "rtt_obs", sim_->now(), connection, "rtt_us",
                      static_cast<double>(obs.rtt));
   model_->OnRoundTrip(connection, obs);
-  const auto it = owner_.find(connection);
-  if (it != owner_.end()) {
-    rtt_dirty_.insert(it->second);
+  const AppId owner = OwnerOf(connection);
+  if (owner != 0) {
+    MarkRttDirty(owner);
   }
   TraceEstimatorState(sim_, *model_, connection);
   NotifyChanged();
@@ -204,9 +223,11 @@ double CentralizedStrategy::ConnectionAvailability(ConnectionId connection, Time
 
 std::vector<ConnectionId> CentralizedStrategy::AttachedConnections() const {
   std::vector<ConnectionId> out;
-  out.reserve(endpoints_.size());
-  for (const auto& [connection, endpoint] : endpoints_) {
-    out.push_back(connection);
+  out.reserve(attached_);
+  for (ConnectionId connection = 0; connection < endpoints_.size(); ++connection) {
+    if (endpoints_[connection] != nullptr) {
+      out.push_back(connection);
+    }
   }
   return out;
 }

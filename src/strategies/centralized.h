@@ -7,8 +7,10 @@
 //
 // The strategy also keeps the incremental bookkeeping behind the viceroy's
 // indexed re-evaluation (TakeReevalHint): per-app connection lists, a
-// histogram of apps by connection count, and a set of apps whose rtt may
-// have moved since the last hint.  An app none of whose connections has
+// histogram of apps by connection count, and a list of apps whose rtt may
+// have moved since the last hint.  Per-connection and per-app tables are
+// vectors indexed by the dense ConnectionId / AppId; an id past the end or
+// with an empty entry is unknown.  An app none of whose connections has
 // recent usage or a fresh rtt sample sees availability of exactly
 // (connection count) x (idle fair share) — the hint reports those idle
 // levels so the viceroy can probe the request table's interval index
@@ -17,9 +19,10 @@
 #ifndef SRC_STRATEGIES_CENTRALIZED_H_
 #define SRC_STRATEGIES_CENTRALIZED_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/core/bandwidth_strategy.h"
@@ -75,34 +78,40 @@ class CentralizedStrategy : public BandwidthStrategy, public LogListener {
  protected:
   // Derived strategies (congestion-manager) reuse the attach/detach
   // bookkeeping and the supply model but regroup shares; they read these
-  // directly rather than duplicating the maps.
-  const std::map<ConnectionId, AppId>& owners() const { return owner_; }
-  const std::map<AppId, std::vector<ConnectionId>>& app_connections() const {
-    return app_connections_;
-  }
+  // directly rather than duplicating the tables.  ConnectionsOf is the
+  // app's attached connections in ascending id order (empty if unknown).
+  const std::vector<ConnectionId>& ConnectionsOf(AppId app) const;
   const SupplyModelInterface* model() const { return model_.get(); }
   Simulation* simulation() const { return sim_; }
 
  private:
   // Moves one app between connection-count buckets of the histogram.
   void BumpCount(int from, int to);
+  // Lists |app| in rtt_dirty_ unless it already is.
+  void MarkRttDirty(AppId app);
 
   Simulation* sim_;
   std::unique_ptr<SupplyModelInterface> model_;
   // Non-null when |model_| is the incremental implementation; its live-set
   // bookkeeping is what makes TakeReevalHint's result exact.
   SupplyModel* fast_model_ = nullptr;
-  std::map<ConnectionId, AppId> owner_;          // connection -> app
-  std::map<ConnectionId, Endpoint*> endpoints_;  // for detach
-  // connection ids per app, ascending — the same visit order the original
-  // filter over the connection->app map produced, so per-app availability
-  // sums are bit-identical.
-  std::map<AppId, std::vector<ConnectionId>> app_connections_;
+  // By ConnectionId: the owning app (0 = unattached) and the endpoint, for
+  // detach (null = unattached).
+  std::vector<AppId> owner_;
+  std::vector<Endpoint*> endpoints_;
+  size_t attached_ = 0;  // non-null entries of endpoints_
+  // By AppId: connection ids, ascending — the same visit order the
+  // original filter over a connection->app map produced, so per-app
+  // availability sums are bit-identical.
+  std::vector<std::vector<ConnectionId>> app_connections_;
   // connection count -> number of apps with that count (zero-count apps
   // and empty buckets omitted).  The support of the hint's idle_levels.
   std::map<int, int> apps_by_count_;
-  // Apps whose rtt or connection set changed since the last hint.
-  std::set<AppId> rtt_dirty_;
+  // Apps whose rtt or connection set changed since the last hint, each
+  // listed once: rtt_dirty_flag_ (by AppId) marks membership, which keeps
+  // the list bounded by the app count even when no hint is ever taken.
+  std::vector<AppId> rtt_dirty_;
+  std::vector<uint8_t> rtt_dirty_flag_;
 };
 
 }  // namespace odyssey

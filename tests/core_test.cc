@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +178,54 @@ TEST(UpcallTest, IndependentQueuesPerApp) {
   EXPECT_EQ(dispatcher.last_delivered_seq(1), 0u);
 }
 
+TEST(UpcallTest, UnknownAppsReadAsUnblockedWithNothingDelivered) {
+  Simulation sim;
+  UpcallDispatcher dispatcher(&sim);
+  // Never-seen apps, including ones past the highest id the dispatcher has
+  // state for, answer as empty queues.
+  EXPECT_FALSE(dispatcher.blocked(0));
+  EXPECT_FALSE(dispatcher.blocked(7));
+  EXPECT_EQ(dispatcher.last_delivered_seq(7), 0u);
+  dispatcher.Block(3);
+  dispatcher.Post(5, 1, ResourceId::kNetworkBandwidth, 0.0, nullptr);
+  sim.Run();
+  EXPECT_TRUE(dispatcher.blocked(3));
+  EXPECT_FALSE(dispatcher.blocked(4));  // below the highest id, never seen
+  EXPECT_EQ(dispatcher.last_delivered_seq(4), 0u);
+  EXPECT_EQ(dispatcher.last_delivered_seq(5), 1u);
+  EXPECT_FALSE(dispatcher.blocked(1000));
+  EXPECT_EQ(dispatcher.last_delivered_seq(1000), 0u);
+}
+
+TEST(UpcallTest, LongUndrainedQueueStaysInOrder) {
+  // A queue that never fully drains (each delivery's handler posts the
+  // next upcall before the queue empties) still delivers every upcall
+  // exactly once, in order, across its storage compactions.
+  Simulation sim;
+  UpcallDispatcher dispatcher(&sim);
+  std::vector<int> order;
+  int posted = 0;
+  UpcallHandler handler;
+  handler = [&](RequestId request, ResourceId, double) {
+    order.push_back(static_cast<int>(request));
+    if (posted < 500) {
+      dispatcher.Post(1, static_cast<RequestId>(posted++), ResourceId::kNetworkBandwidth, 0.0,
+                      handler);
+    }
+  };
+  for (int i = 0; i < 3; ++i) {
+    dispatcher.Post(1, static_cast<RequestId>(posted++), ResourceId::kNetworkBandwidth, 0.0,
+                    handler);
+  }
+  sim.Run();
+  ASSERT_EQ(order.size(), 500u);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_EQ(order[static_cast<size_t>(i)], i);
+  }
+  EXPECT_EQ(dispatcher.last_delivered_seq(1), 500u);
+  EXPECT_EQ(dispatcher.queued_count(), 0u);
+}
+
 TEST(UpcallTest, DeliveryLatencyApplied) {
   Simulation sim;
   UpcallDispatcher dispatcher(&sim, 5 * kMillisecond);
@@ -339,10 +388,16 @@ class ViceroyTest : public ::testing::Test {
 };
 
 TEST_F(ViceroyTest, RegistersApplications) {
+  EXPECT_EQ(viceroy_.ApplicationName(1), "<unknown>");  // none registered yet
+  // Ids are dense from 1; 0 and ids past the last are unknown.
   const AppId a = viceroy_.RegisterApplication("alpha");
   const AppId b = viceroy_.RegisterApplication("beta");
-  EXPECT_NE(a, b);
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(b, 2u);
   EXPECT_EQ(viceroy_.ApplicationName(a), "alpha");
+  EXPECT_EQ(viceroy_.ApplicationName(b), "beta");
+  EXPECT_EQ(viceroy_.ApplicationName(0), "<unknown>");
+  EXPECT_EQ(viceroy_.ApplicationName(3), "<unknown>");
   EXPECT_EQ(viceroy_.ApplicationName(999), "<unknown>");
 }
 
@@ -375,6 +430,53 @@ TEST_F(ViceroyTest, RequestOutsideWindowReturnsLevel) {
                    viceroy_.CurrentLevel(app, ResourceId::kBatteryPower));
 }
 
+TEST_F(ViceroyTest, MalformedWindowIsRejectedAndRegistersNothing) {
+  // A NaN bound passes the "level outside the window" test (every
+  // comparison with NaN is false), and once in the bound-ordered interval
+  // index it hides *other* apps' violated windows from the indexed probe.
+  // Inverted and infinite bounds are caller bugs of the same kind.
+  const AppId app = viceroy_.RegisterApplication("app");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> malformed = {
+      {nan, 1e9}, {0.0, nan}, {nan, nan}, {1e9, 0.0}, {-inf, 1e9}, {0.0, inf},
+  };
+  for (const auto& [lower, upper] : malformed) {
+    const RequestResult result =
+        viceroy_.Request(app, ResourceDescriptor{ResourceId::kBatteryPower, lower, upper, nullptr});
+    EXPECT_FALSE(result.ok()) << "[" << lower << ", " << upper << "]";
+    EXPECT_EQ(result.code, StatusCode::kInvalidArgument) << "[" << lower << ", " << upper << "]";
+    EXPECT_EQ(result.id, 0u);
+  }
+  EXPECT_EQ(viceroy_.requests().size(), 0u);
+  // A well-formed window the level lies outside is the paper's out-of-bounds
+  // answer, distinguishable from a malformed one.
+  const RequestResult outside =
+      viceroy_.Request(app, ResourceDescriptor{ResourceId::kBatteryPower, 1e9, 2e9, nullptr});
+  EXPECT_EQ(outside.code, StatusCode::kOutOfBounds);
+  const RequestResult inside =
+      viceroy_.Request(app, ResourceDescriptor{ResourceId::kBatteryPower, 0.0, 1e9, nullptr});
+  EXPECT_EQ(inside.code, StatusCode::kOk);
+}
+
+TEST_F(ViceroyTest, NonFiniteStaticLevelIsRejected) {
+  const AppId app = viceroy_.RegisterApplication("app");
+  bool fired = false;
+  ResourceDescriptor descriptor{ResourceId::kMoney, 10.0, 100.0,
+                                [&](RequestId, ResourceId, double) { fired = true; }};
+  ASSERT_TRUE(viceroy_.Request(app, descriptor).ok());
+  const double before = viceroy_.CurrentLevel(app, ResourceId::kMoney);
+  for (const double level : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(viceroy_.SetStaticLevel(ResourceId::kMoney, level).code(),
+              StatusCode::kInvalidArgument);
+  }
+  sim_.Run();
+  EXPECT_FALSE(fired);  // nothing was re-evaluated
+  EXPECT_DOUBLE_EQ(viceroy_.CurrentLevel(app, ResourceId::kMoney), before);
+}
+
 TEST_F(ViceroyTest, StaticLevelChangeFiresUpcall) {
   const AppId app = viceroy_.RegisterApplication("app");
   double seen_level = -1.0;
@@ -382,12 +484,13 @@ TEST_F(ViceroyTest, StaticLevelChangeFiresUpcall) {
                                 std::numeric_limits<double>::max(),
                                 [&](RequestId, ResourceId, double level) { seen_level = level; }};
   ASSERT_TRUE(viceroy_.Request(app, descriptor).ok());
-  viceroy_.SetStaticLevel(ResourceId::kBatteryPower, 50.0);  // battery draining
+  // The battery drains.
+  ASSERT_TRUE(viceroy_.SetStaticLevel(ResourceId::kBatteryPower, 50.0).ok());
   sim_.Run();
   EXPECT_DOUBLE_EQ(seen_level, 50.0);
   // The registration was consumed: further changes are silent.
   seen_level = -1.0;
-  viceroy_.SetStaticLevel(ResourceId::kBatteryPower, 10.0);
+  ASSERT_TRUE(viceroy_.SetStaticLevel(ResourceId::kBatteryPower, 10.0).ok());
   sim_.Run();
   EXPECT_DOUBLE_EQ(seen_level, -1.0);
 }
@@ -398,7 +501,7 @@ TEST_F(ViceroyTest, ChangeWithinWindowIsSilent) {
   ResourceDescriptor descriptor{ResourceId::kMoney, 0.0, 100.0,
                                 [&](RequestId, ResourceId, double) { fired = true; }};
   ASSERT_TRUE(viceroy_.Request(app, descriptor).ok());
-  viceroy_.SetStaticLevel(ResourceId::kMoney, 20.0);
+  ASSERT_TRUE(viceroy_.SetStaticLevel(ResourceId::kMoney, 20.0).ok());
   sim_.Run();
   EXPECT_FALSE(fired);
 }
@@ -411,14 +514,15 @@ TEST_F(ViceroyTest, CancelPreventsUpcall) {
   const RequestResult result = viceroy_.Request(app, descriptor);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(viceroy_.Cancel(result.id).ok());
-  viceroy_.SetStaticLevel(ResourceId::kMoney, 0.0);
+  ASSERT_TRUE(viceroy_.SetStaticLevel(ResourceId::kMoney, 0.0).ok());
   sim_.Run();
   EXPECT_FALSE(fired);
 }
 
 TEST_F(ViceroyTest, BandwidthAndLatencyNotSettable) {
   const AppId app = viceroy_.RegisterApplication("app");
-  viceroy_.SetStaticLevel(ResourceId::kNetworkBandwidth, 1e6);
+  EXPECT_EQ(viceroy_.SetStaticLevel(ResourceId::kNetworkBandwidth, 1e6).code(),
+            StatusCode::kUnsupported);
   EXPECT_DOUBLE_EQ(viceroy_.CurrentLevel(app, ResourceId::kNetworkBandwidth), 0.0);
 }
 
@@ -432,7 +536,7 @@ TEST_F(ViceroyTest, UpcallsForTwoAppsIndependent) {
   ASSERT_TRUE(viceroy_.Request(a, descriptor).ok());
   descriptor.handler = [&](RequestId, ResourceId, double) { ++fired_b; };
   ASSERT_TRUE(viceroy_.Request(b, descriptor).ok());
-  viceroy_.SetStaticLevel(ResourceId::kMoney, 5.0);
+  ASSERT_TRUE(viceroy_.SetStaticLevel(ResourceId::kMoney, 5.0).ok());
   sim_.Run();
   EXPECT_EQ(fired_a, 1);
   EXPECT_EQ(fired_b, 1);

@@ -2,14 +2,20 @@
 // spaces, exercised with parameterized gtest suites.
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/bitstream_app.h"
 #include "src/apps/video_player.h"
+#include "src/core/request_table.h"
 #include "src/core/upcall.h"
+#include "src/estimator/naive_supply_model.h"
 #include "src/estimator/supply_model.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
@@ -496,6 +502,128 @@ TEST(RegisterInverseProperty, NoDriftAfterTenThousandRandomOps) {
     }
   }
 }
+
+// --- The request table's interval index agrees with a brute-force scan ---
+//
+// Thousands of random Register/Cancel/TakeViolated/Reclassify operations
+// over several apps, classes and two resources, with bounds drawn from a
+// small pool so duplicate bounds, point windows (lower == upper), 0.0 and
+// +-infinity all occur.  After every operation each CollectViolatedApps
+// probe, per class and whole-table, must report exactly the brute-force
+// violators: one app per violated window (a window violates on at most one
+// side), compared as sorted multisets since the walk order is free.
+
+class RequestTableIndexProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RequestTableIndexProperty, ProbesMatchBruteForceScan) {
+  struct Window {
+    AppId app;
+    ResourceId resource;
+    double lower;
+    double upper;
+    uint32_t klass;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> bounds = {-kInf, 0.0, 0.0, 1.0, 5.0, 5.0, 10.0, 10.0, 1e9, kInf};
+  const std::vector<double> levels = {-kInf, -1.0, 0.0, 0.5, 1.0, 3.0, 5.0,
+                                      7.5, 10.0, 11.0, 1e9, 2e9, kInf};
+  const ResourceId resources[] = {ResourceId::kNetworkBandwidth, ResourceId::kMoney};
+  constexpr uint64_t kApps = 9;  // ids 1..8, plus 0 for the odd app
+  constexpr uint32_t kClasses = 4;
+
+  Rng rng(GetParam());
+  RequestTable table;
+  std::map<RequestId, Window> model;
+  std::vector<RequestId> retired;
+  const auto violates = [](const Window& w, double level) {
+    return level < w.lower || level > w.upper;
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    const double draw = rng.NextDouble();
+    const ResourceId resource = resources[rng.UniformInt(2)];
+    const AppId app = rng.UniformInt(kApps);
+    if (draw < 0.45 || model.empty()) {
+      double lower = bounds[rng.UniformInt(bounds.size())];
+      double upper = bounds[rng.UniformInt(bounds.size())];
+      if (lower > upper) {
+        std::swap(lower, upper);
+      }
+      const auto klass = static_cast<uint32_t>(rng.UniformInt(kClasses));
+      const RequestId id =
+          table.Register(app, ResourceDescriptor{resource, lower, upper, nullptr}, klass);
+      ASSERT_EQ(model.count(id), 0u);
+      model[id] = Window{app, resource, lower, upper, klass};
+    } else if (draw < 0.6) {
+      // Cancel a live window, or (sometimes) a retired id.
+      if (!retired.empty() && rng.NextDouble() < 0.2) {
+        ASSERT_EQ(table.Cancel(retired[rng.UniformInt(retired.size())]).code(),
+                  StatusCode::kNotFound);
+      } else {
+        auto it = model.begin();
+        std::advance(it, static_cast<ptrdiff_t>(rng.UniformInt(model.size())));
+        ASSERT_TRUE(table.Cancel(it->first).ok());
+        retired.push_back(it->first);
+        model.erase(it);
+      }
+    } else if (draw < 0.85) {
+      const double level = levels[rng.UniformInt(levels.size())];
+      std::vector<RequestId> expected;
+      for (const auto& [id, w] : model) {
+        if (w.app == app && w.resource == resource && violates(w, level)) {
+          expected.push_back(id);
+        }
+      }
+      std::vector<RequestId> taken;
+      for (const RequestTable::Entry& entry : table.TakeViolated(resource, app, level)) {
+        taken.push_back(entry.id);
+      }
+      ASSERT_EQ(taken, expected) << "TakeViolated(app " << app << ", level " << level << ")";
+      for (const RequestId id : taken) {
+        model.erase(id);
+        retired.push_back(id);
+      }
+    } else {
+      const auto klass = static_cast<uint32_t>(rng.UniformInt(kClasses));
+      table.Reclassify(app, klass);
+      for (auto& [id, w] : model) {
+        if (w.app == app) {
+          w.klass = klass;
+        }
+      }
+    }
+
+    ASSERT_EQ(table.size(), model.size());
+    for (const ResourceId r : resources) {
+      for (const double level : levels) {
+        std::vector<AppId> expected_all;
+        std::vector<std::vector<AppId>> expected_class(kClasses);
+        for (const auto& [id, w] : model) {
+          if (w.resource == r && violates(w, level)) {
+            expected_all.push_back(w.app);
+            expected_class[w.klass].push_back(w.app);
+          }
+        }
+        std::sort(expected_all.begin(), expected_all.end());
+        std::vector<AppId> got;
+        table.CollectViolatedApps(r, level, &got);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, expected_all) << "op " << op << " level " << level;
+        for (uint32_t klass = 0; klass < kClasses + 1; ++klass) {
+          std::vector<AppId> expected =
+              klass < kClasses ? expected_class[klass] : std::vector<AppId>{};
+          std::sort(expected.begin(), expected.end());
+          got.clear();
+          table.CollectViolatedApps(r, klass, level, &got);
+          std::sort(got.begin(), got.end());
+          ASSERT_EQ(got, expected) << "op " << op << " class " << klass << " level " << level;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RequestTableIndexProperty, ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace odyssey

@@ -74,6 +74,51 @@ TEST_F(StrategyFixture, CentralizedUnknownAppZero) {
   EXPECT_EQ(strategy.SmoothedRttFor(42), 0);
 }
 
+TEST_F(StrategyFixture, CentralizedUnknownIdsReadAsUnattached) {
+  // Per-id tables are vectors indexed by the dense ids: ids past the end,
+  // 0, and ids inside the range that were never attached all answer as the
+  // old maps did for a missing key.
+  Endpoint endpoint(&sim_, &link_, "server");
+  CentralizedStrategy strategy(&sim_);
+  strategy.AttachConnection(3, &endpoint);
+  EXPECT_EQ(strategy.OwnerOf(endpoint.id()), 3u);
+  EXPECT_EQ(strategy.OwnerOf(0), 0u);
+  EXPECT_EQ(strategy.OwnerOf(endpoint.id() + 1000), 0u);
+  EXPECT_EQ(strategy.ConnectionCountFor(3), 1);
+  EXPECT_EQ(strategy.ConnectionCountFor(0), 0);
+  EXPECT_EQ(strategy.ConnectionCountFor(2), 0);  // below the highest app id
+  EXPECT_EQ(strategy.ConnectionCountFor(1000), 0);
+  EXPECT_DOUBLE_EQ(strategy.AvailabilityFor(1000, 0), 0.0);
+  EXPECT_EQ(strategy.AttachedConnections(), std::vector<ConnectionId>{endpoint.id()});
+}
+
+TEST_F(StrategyFixture, CentralizedDetachThenReattachSameEndpoint) {
+  Endpoint first(&sim_, &link_, "server");
+  Endpoint second(&sim_, &link_, "server");
+  CentralizedStrategy strategy(&sim_);
+  strategy.AttachConnection(1, &first);
+  strategy.AttachConnection(1, &second);
+  strategy.DetachConnection(&first);
+  EXPECT_EQ(strategy.OwnerOf(first.id()), 0u);
+  EXPECT_EQ(strategy.ConnectionCountFor(1), 1);
+  EXPECT_EQ(strategy.AttachedConnections(), std::vector<ConnectionId>{second.id()});
+  // Detaching an endpoint that is no longer attached is a no-op.
+  strategy.DetachConnection(&first);
+  EXPECT_EQ(strategy.ConnectionCountFor(1), 1);
+
+  // Re-attach the same endpoint, this time to another app: it is tracked,
+  // counted and fed observations exactly like a fresh one.
+  strategy.AttachConnection(2, &first);
+  EXPECT_EQ(strategy.OwnerOf(first.id()), 2u);
+  EXPECT_EQ(strategy.ConnectionCountFor(1), 1);
+  EXPECT_EQ(strategy.ConnectionCountFor(2), 1);
+  EXPECT_EQ(strategy.AttachedConnections(),
+            (std::vector<ConnectionId>{first.id(), second.id()}));
+  FetchAndRun(first, 512.0 * kKb);
+  EXPECT_GT(strategy.TotalSupply(sim_.now()), 0.0);
+  EXPECT_GT(strategy.AvailabilityFor(2, sim_.now()), 0.0);
+}
+
 TEST_F(StrategyFixture, LaissezFaireSeesOnlyOwnLog) {
   Endpoint a(&sim_, &link_, "a");
   Endpoint b(&sim_, &link_, "b");

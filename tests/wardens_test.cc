@@ -384,7 +384,7 @@ TEST_F(WardenTest, BitstreamStopWithoutStartFails) {
 
 TEST_F(WardenTest, FidelityTransitionExactlyAtWindowBoundStaysInside) {
   Viceroy& viceroy = rig_.client().viceroy();
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 100.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 100.0).ok());
   int upcalls = 0;
   double seen_level = -1.0;
   ResourceDescriptor descriptor;
@@ -399,26 +399,26 @@ TEST_F(WardenTest, FidelityTransitionExactlyAtWindowBoundStaysInside) {
   ASSERT_TRUE(result.ok());
   // A transition that lands exactly on either bound is still inside the
   // window of tolerance (§4.2 violation is strict): no upcall.
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 50.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 50.0).ok());
   rig_.sim().RunUntil(rig_.sim().now() + kSecond);
   EXPECT_EQ(upcalls, 0);
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 150.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 150.0).ok());
   rig_.sim().RunUntil(rig_.sim().now() + kSecond);
   EXPECT_EQ(upcalls, 0);
   // The first step past the bound violates the window, exactly once.
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 150.5);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 150.5).ok());
   rig_.sim().RunUntil(rig_.sim().now() + kSecond);
   EXPECT_EQ(upcalls, 1);
   EXPECT_DOUBLE_EQ(seen_level, 150.5);
   // The upcall consumed the registration; further motion is silent.
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 10.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 10.0).ok());
   rig_.sim().RunUntil(rig_.sim().now() + kSecond);
   EXPECT_EQ(upcalls, 1);
 }
 
 TEST_F(WardenTest, CancelDuringUpcallDeliveryCannotSuppressIt) {
   Viceroy& viceroy = rig_.client().viceroy();
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 100.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 100.0).ok());
   int upcalls = 0;
   ResourceDescriptor descriptor;
   descriptor.resource = ResourceId::kDiskCacheSpace;
@@ -429,7 +429,7 @@ TEST_F(WardenTest, CancelDuringUpcallDeliveryCannotSuppressIt) {
   ASSERT_TRUE(result.ok());
   // Violating the window posts the upcall and consumes the registration;
   // the delivery is in flight but not yet in the application.
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 10.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 10.0).ok());
   EXPECT_EQ(upcalls, 0);
   // A cancel racing the in-flight upcall must lose: the entry is gone, so
   // the cancel reports failure and the delivery still happens exactly once.
@@ -449,7 +449,7 @@ TEST_F(WardenTest, CancelDuringUpcallDeliveryCannotSuppressIt) {
   const RequestResult granted = rig_.client().Request(app_, second);
   ASSERT_TRUE(granted.ok());
   EXPECT_TRUE(rig_.client().Cancel(granted.id).ok());
-  viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 1000.0);
+  ASSERT_TRUE(viceroy.SetStaticLevel(ResourceId::kDiskCacheSpace, 1000.0).ok());
   rig_.sim().RunUntil(rig_.sim().now() + kSecond);
   EXPECT_EQ(late_upcalls, 0);
 }

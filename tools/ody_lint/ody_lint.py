@@ -101,6 +101,12 @@ RULES = {
         "(RecordThroughput/RecordRoundTrip belong to the RPC layer; "
         "strategies read estimates, never feed them)"
     ),
+    "hot-core-dense-ids": (
+        "ordered tree (std::map/set/multimap/multiset) keyed by a dense id "
+        "(AppId, ConnectionId, RequestId) in a hot-core file (viceroy, "
+        "request_table, upcall, supply_model, centralized, oracles); ids are "
+        "handed out sequentially, so index a vector by the id, or hash it"
+    ),
 }
 
 # Directories whose sources are scanned at all.
@@ -590,6 +596,75 @@ def check_strategy_isolation(sf: SourceFile) -> list[Violation]:
     return out
 
 
+# --- hot-core-dense-ids -----------------------------------------------------
+#
+# AppId, ConnectionId and RequestId are dense sequential integers, and the
+# files on the upcall cycle (observation -> supply query -> interval-index
+# probe -> upcall post/deliver -> re-register) run at 100k clients.  A
+# red-black tree keyed by one of those ids turns every lookup into a chain
+# of pointer-chasing cache misses and every insert into a node allocation,
+# where an id-indexed vector is one bounds check and one load.  The rule
+# keeps the dense layout from regressing one convenient std::map at a time.
+
+HOT_CORE_FILES = (
+    "src/core/viceroy",
+    "src/core/request_table",
+    "src/core/upcall",
+    "src/estimator/supply_model",
+    "src/strategies/centralized",
+    "src/check/oracles",
+)
+
+_ORDERED_CONTAINER_RE = re.compile(r"\bstd::(?:multimap|multiset|map|set)\s*<")
+_DENSE_ID_RE = re.compile(r"\b(?:AppId|ConnectionId|RequestId)\b")
+_TYPE_ALIAS_RE = re.compile(r"\busing\s+(\w+)\s*=\s*([^;]*);")
+
+
+def _template_key(text: str, start: int) -> str:
+    """Returns the first template argument of the argument list opening at
+    text[start - 1] == '<' (up to the top-level ',' or closing '>')."""
+    depth = 0
+    i = start
+    while i < len(text):
+        c = text[i]
+        if c in "<([":
+            depth += 1
+        elif c in ">)]":
+            if depth == 0:
+                break
+            depth -= 1
+        elif c == "," and depth == 0:
+            break
+        i += 1
+    return text[start:i]
+
+
+def check_hot_core_dense_ids(sf: SourceFile) -> list[Violation]:
+    stem, _ = os.path.splitext(sf.relpath)
+    if stem not in HOT_CORE_FILES:
+        return []
+    out = []
+    # Template argument lists may wrap, so scan the joined code text.
+    text = "\n".join(sf.code_lines)
+    # A key may hide the id behind a file-local alias (a tuple key, say).
+    ids = ["AppId", "ConnectionId", "RequestId"]
+    for m in _TYPE_ALIAS_RE.finditer(text):
+        if _DENSE_ID_RE.search(m.group(2)):
+            ids.append(m.group(1))
+    id_re = re.compile(r"\b(" + "|".join(ids) + r")\b")
+    for m in _ORDERED_CONTAINER_RE.finditer(text):
+        key = _template_key(text, m.end())
+        dense = id_re.search(key)
+        if dense:
+            line = text.count("\n", 0, m.start()) + 1
+            container = m.group(0).rstrip("<").strip()
+            out.append(Violation(sf.relpath, line, "hot-core-dense-ids",
+                                 f"{container} keyed by {dense.group(1)} in a hot-core "
+                                 "file; the id is dense, so index a vector by it (or "
+                                 "use a hashed container)"))
+    return out
+
+
 # --- escape-capture (cross-file, two passes) --------------------------------
 #
 # The two lifetime bugs this repo has actually shipped (the OdysseyClient
@@ -948,6 +1023,7 @@ CHECKS = [
     check_test_no_wallclock,
     check_fleet_pod_message,
     check_strategy_isolation,
+    check_hot_core_dense_ids,
     check_header_guard,
     check_include_order,
 ]

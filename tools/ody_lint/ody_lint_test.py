@@ -258,6 +258,38 @@ class OdyLintTest(unittest.TestCase):
                          "src/strategies/strategy_isolation_suppressed.cc")
         self.assertNotIn("strategy-isolation", self.rules_found(rel))
 
+    # --- hot-core-dense-ids ---
+
+    def test_hot_core_dense_ids_flagged(self):
+        rel = self.place("hot_core_dense_ids_bad.cc", "src/core/request_table.cc")
+        violations = [v for v in self.lint(rel) if v.rule == "hot-core-dense-ids"]
+        # Keys of AppId, RequestId, ConnectionId, a pair holding an AppId,
+        # a wrapped argument list and an alias of a tuple holding a
+        # RequestId fire; int keys, id-valued maps, hashed containers and
+        # vectors do not.
+        self.assertEqual([v.line for v in violations], [8, 9, 10, 11, 12, 16])
+        messages = " ".join(v.message for v in violations)
+        self.assertIn("std::multimap keyed by ConnectionId", messages)
+        self.assertIn("std::map keyed by BoundKey", messages)
+        self.assertIn("index a vector", messages)
+
+    def test_hot_core_dense_ids_covers_every_hot_core_file(self):
+        for relpath in ("src/core/viceroy.h", "src/core/upcall.cc",
+                        "src/estimator/supply_model.h", "src/strategies/centralized.cc",
+                        "src/check/oracles.h"):
+            rel = self.place("hot_core_dense_ids_bad.cc", relpath)
+            self.assertIn("hot-core-dense-ids", self.rules_found(rel), relpath)
+
+    def test_hot_core_dense_ids_scoped_to_hot_core(self):
+        for relpath in ("src/core/warden.cc", "src/estimator/naive_supply_model.h",
+                        "src/strategies/congestion_manager.h", "tests/core_test.cc"):
+            rel = self.place("hot_core_dense_ids_bad.cc", relpath)
+            self.assertNotIn("hot-core-dense-ids", self.rules_found(rel), relpath)
+
+    def test_hot_core_dense_ids_suppressed(self):
+        rel = self.place("hot_core_dense_ids_suppressed.cc", "src/core/viceroy.cc")
+        self.assertNotIn("hot-core-dense-ids", self.rules_found(rel))
+
     # --- header-guard ---
 
     def test_header_guard_mismatch_flagged(self):
@@ -349,7 +381,7 @@ class OdyLintTest(unittest.TestCase):
 
     def test_list_rules_covers_all_checks(self):
         self.assertEqual(ody_lint.main(["--list-rules"]), 0)
-        self.assertEqual(len(ody_lint.RULES), 13)
+        self.assertEqual(len(ody_lint.RULES), 14)
 
 
 if __name__ == "__main__":
