@@ -7,14 +7,22 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/core/odyssey_client.h"
 #include "src/core/request_table.h"
 #include "src/core/tsop_codec.h"
 #include "src/core/upcall.h"
+#include "src/core/viceroy.h"
 #include "src/estimator/connection_estimator.h"
 #include "src/estimator/supply_model.h"
+#include "src/metrics/experiment.h"
 #include "src/net/link.h"
+#include "src/rpc/endpoint.h"
 #include "src/sim/simulation.h"
+#include "src/strategies/centralized.h"
 #include "src/strategies/laissez_faire.h"
 #include "src/trace/trace_macros.h"
 #include "src/trace/trace_recorder.h"
@@ -225,6 +233,58 @@ void BM_SupplyRecomputeNaive(benchmark::State& state) {
   RunSupplyRecompute(state, SupplyModelKind::kNaive);
 }
 BENCHMARK(BM_SupplyRecomputeNaive)->Arg(1)->Arg(100)->Arg(10000);
+
+// A feed tick's burst of same-instant observations on a loaded viceroy:
+// 64 hot connections among 10k registered one-connection apps, every app
+// holding a bandwidth window wide enough never to be violated.  One
+// iteration is one observation plus the viceroy re-evaluation it triggers;
+// after every 64 observations the clock advances one 50 ms feed period, so
+// each instant sees the burst a real feed tick delivers.
+void BM_SameInstantBurst(benchmark::State& state) {
+  constexpr int kApps = 10000;
+  constexpr int kHot = 64;
+  constexpr Duration kFeedPeriod = 50 * kMillisecond;
+  constexpr double kHotBps = 120.0 * 1024.0;
+  Simulation sim(1);
+  Link link(&sim, kHot * kHotBps, 10 * kMillisecond);
+  // Endpoints outlive the viceroy: the strategy unsubscribes from their
+  // logs on destruction.
+  std::vector<std::unique_ptr<Endpoint>> endpoints;
+  Viceroy viceroy(&sim, std::make_unique<CentralizedStrategy>(&sim), kUpcallLatency);
+  for (int i = 0; i < kApps; ++i) {
+    const AppId app = viceroy.RegisterApplication("app" + std::to_string(i));
+    endpoints.push_back(std::make_unique<Endpoint>(&sim, &link, "server"));
+    viceroy.AttachConnection(app, endpoints.back().get());
+    ResourceDescriptor window;
+    window.resource = ResourceId::kNetworkBandwidth;
+    window.lower = 0.0;
+    window.upper = 1e15;
+    window.handler = [](RequestId, ResourceId, double) {};
+    if (!viceroy.Request(app, window).ok()) {
+      state.SkipWithError("window refused");
+      return;
+    }
+  }
+  const double window_bytes = kHotBps * DurationToSeconds(kFeedPeriod);
+  int next = 0;
+  const auto observe = [&] {
+    endpoints[static_cast<size_t>(next)]->log().RecordThroughput(sim.now(), window_bytes,
+                                                                 kFeedPeriod);
+    if (++next == kHot) {
+      next = 0;
+      sim.RunUntil(sim.now() + kFeedPeriod);
+    }
+  };
+  // Two seconds of ticks fill every hot meter's usage window first.
+  for (int i = 0; i < kHot * 40; ++i) {
+    observe();
+  }
+  for (auto _ : state) {
+    observe();
+  }
+  benchmark::DoNotOptimize(viceroy.strategy().TotalSupply(sim.now()));
+}
+BENCHMARK(BM_SameInstantBurst);
 
 void BM_TsopDispatch(benchmark::State& state) {
   Simulation sim;

@@ -74,6 +74,12 @@ class RequestTable {
   // the returned entries.
   std::vector<Entry> TakeViolated(ResourceId resource, AppId app, double level);
 
+  // Whether |app| holds any window on |resource|.  O(1): a bucket-head
+  // check.
+  bool HasWindows(ResourceId resource, AppId app) const {
+    return BucketHead(ResourceSlot(resource), app) != kNone;
+  }
+
   // Entries registered for |app| on |resource| (diagnostics/tests), in
   // ascending id order.
   std::vector<Entry> EntriesFor(AppId app, ResourceId resource) const;

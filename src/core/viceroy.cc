@@ -190,13 +190,19 @@ void Viceroy::Reevaluate() {
 
 // Evaluates candidates_ in ascending AppId order with their real levels,
 // bandwidth before latency per app — the same visit order as the original
-// all-apps loop, restricted to the candidate set.
+// all-apps loop, restricted to the candidate set.  A resource on which the
+// app holds no window is skipped without querying its level: an empty
+// bucket posts no upcall, so the upcall sequence is unchanged.
 void Viceroy::EvaluateCandidates() {
   for (const AppId app : candidates_) {
-    EvaluateApp(app, ResourceId::kNetworkBandwidth,
-                strategy_->AvailabilityFor(app, sim_->now()));
-    EvaluateApp(app, ResourceId::kNetworkLatency,
-                static_cast<double>(strategy_->SmoothedRttFor(app)));
+    if (requests_.HasWindows(ResourceId::kNetworkBandwidth, app)) {
+      EvaluateApp(app, ResourceId::kNetworkBandwidth,
+                  strategy_->AvailabilityFor(app, sim_->now()));
+    }
+    if (requests_.HasWindows(ResourceId::kNetworkLatency, app)) {
+      EvaluateApp(app, ResourceId::kNetworkLatency,
+                  static_cast<double>(strategy_->SmoothedRttFor(app)));
+    }
   }
 }
 

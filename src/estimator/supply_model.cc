@@ -12,7 +12,10 @@ namespace odyssey {
 // connection (meter pruned empty) contributes exactly 0.0 to the aggregate,
 // and x + 0.0 == x for every non-negative IEEE double — so summing only the
 // live set, in the same ascending-id order the full scan uses, produces the
-// same bits.  The differential tests hold the model to this.
+// same bits.  A memoized rate is the bits RateAt returned for the same
+// meter contents at the same instant, and RateAt is a pure function of
+// those once pruned, so reading the memo instead of re-evaluating changes
+// none.  The differential tests hold the model to this.
 
 SupplyModel::SupplyModel(const SupplyModelConfig& config)
     : config_(config), supply_(config.supply_window) {}
@@ -29,6 +32,13 @@ SupplyModel::PerConnection* SupplyModel::Find(ConnectionId connection) {
              : nullptr;
 }
 
+std::vector<SupplyModel::LiveEntry>::iterator SupplyModel::LiveLowerBound(
+    ConnectionId connection) const {
+  return std::lower_bound(
+      live_.begin(), live_.end(), connection,
+      [](const LiveEntry& entry, ConnectionId id) { return entry.id < id; });
+}
+
 void SupplyModel::AddConnection(ConnectionId connection) {
   if (connection >= connections_.size()) {
     connections_.resize(connection + 1);
@@ -43,8 +53,8 @@ void SupplyModel::RemoveConnection(ConnectionId connection) {
   if (Find(connection) != nullptr) {
     connections_[connection].reset();
     --registered_;
-    const auto it = std::lower_bound(live_.begin(), live_.end(), connection);
-    if (it != live_.end() && *it == connection) {
+    const auto it = LiveLowerBound(connection);
+    if (it != live_.end() && it->id == connection) {
       live_.erase(it);
     }
     ++version_;
@@ -68,9 +78,11 @@ void SupplyModel::OnThroughput(ConnectionId connection, const ThroughputObservat
   // The window's bytes arrived over its whole transfer span, not at the
   // completion instant.
   state->usage.Record(obs.at - obs.elapsed, obs.at, obs.window_bytes);
-  const auto pos = std::lower_bound(live_.begin(), live_.end(), connection);
-  if (pos == live_.end() || *pos != connection) {
-    live_.insert(pos, connection);
+  const auto pos = LiveLowerBound(connection);
+  if (pos == live_.end() || pos->id != connection) {
+    live_.insert(pos, LiveEntry{connection, kStale, 0.0});
+  } else {
+    pos->rate_at = kStale;
   }
   ++version_;
 
@@ -105,19 +117,25 @@ void SupplyModel::ScanAt(Time now) const {
   double aggregate = 0.0;
   int active = 0;
   size_t keep = 0;
-  for (const ConnectionId id : live_) {
-    const UsageMeter& usage = connections_[id]->usage;
-    ++scan_ops_;
-    const double rate = usage.RateAt(now);
-    aggregate += rate;
-    if (rate > 16.0) {  // UsageMeter::ActiveAt's default threshold
+  for (LiveEntry entry : live_) {
+    bool evict = false;
+    if (entry.rate_at != now) {
+      const UsageMeter& usage = connections_[entry.id]->usage;
+      ++scan_ops_;
+      entry.rate = usage.RateAt(now);
+      entry.rate_at = now;
+      // Eviction: RateAt pruned the meter; once empty it stays empty (event
+      // end times are non-decreasing), so the connection is idle for good
+      // until its next Record.  A memo from this instant was kept by the
+      // scan that took it, so its meter is not empty.
+      evict = usage.empty();
+    }
+    aggregate += entry.rate;
+    if (entry.rate > 16.0) {  // UsageMeter::ActiveAt's default threshold
       ++active;
     }
-    // Eviction: RateAt pruned the meter; once empty it stays empty (event
-    // end times are non-decreasing), so the connection is idle for good
-    // until its next Record.
-    if (!usage.empty()) {
-      live_[keep++] = id;
+    if (!evict) {
+      live_[keep++] = entry;
     }
   }
   live_.resize(keep);
@@ -133,15 +151,22 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   if (supply <= 0.0) {
     return 0.0;
   }
+  // Scans at |now|, so every live entry's memo now holds its rate at |now|.
   const int active = ActiveConnectionCount(now);
 
-  // One meter evaluation serves both the activity test and the competed-for
-  // share below: RateAt is a pure function of |now| once pruned, so the
-  // second evaluation the naive model performs would return the same bits.
+  // The memoized rate serves both the activity test and the competed-for
+  // share below, where the naive model evaluates the meter twice.  A
+  // connection outside the live set has an empty meter, which rates
+  // exactly 0.0.
   const PerConnection* state = Find(connection);
-  ++scan_ops_;
-  const double rate = state != nullptr ? state->usage.RateAt(now) : 0.0;
-  const bool self_active = state != nullptr && rate > 16.0;  // ActiveAt's threshold
+  double rate = 0.0;
+  if (state != nullptr) {
+    const auto it = LiveLowerBound(connection);
+    if (it != live_.end() && it->id == connection) {
+      rate = it->rate;
+    }
+  }
+  const bool self_active = rate > 16.0;  // ActiveAt's threshold
 
   // Fair share: the expected lower bound (§6.2.1).  If this connection is
   // not among the currently active ones, it would join them, so split one
@@ -159,7 +184,6 @@ double SupplyModel::AvailabilityFor(ConnectionId connection, Time now) const {
   // and grows as its usage registers ("higher rates of consumption by the
   // first stream give it more weight compared to the startup of the
   // second", §6.2.1).
-  ScanAt(now);
   const double total_usage = cached_usage_;
   if (total_usage <= 0.0) {
     return fair_share;
@@ -191,7 +215,9 @@ double SupplyModel::UsageRateFor(ConnectionId connection, Time now) const {
 
 void SupplyModel::CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const {
   (void)now;  // the unevicted live set is a valid superset at any instant
-  out->insert(out->end(), live_.begin(), live_.end());
+  for (const LiveEntry& entry : live_) {
+    out->push_back(entry.id);
+  }
 }
 
 std::unique_ptr<SupplyModelInterface> MakeSupplyModel(SupplyModelKind kind,

@@ -28,11 +28,18 @@
 //     of non-negative terms changes no bits, so summing only the live set
 //     in ascending connection-id order reproduces the full-scan aggregate
 //     bit for bit while costing O(recently active) instead of
-//     O(registered).  Aggregate and active-count results are cached per
-//     (time, mutation version), so a burst of availability queries at one
-//     instant — the viceroy re-evaluating every app — pays for one scan.
-//     Per-connection state sits in a vector indexed by the dense
-//     ConnectionId, so a lookup is one bounds check and one load.
+//     O(registered).  Each live entry memoizes its meter's rate at the
+//     instant it was last evaluated; a record into the meter marks the
+//     entry stale.  A scan re-evaluates only stale entries and entries
+//     memoized at another instant, so the burst of same-instant
+//     observations a feed tick delivers costs one full evaluation of the
+//     live set, then one meter per further observation.  The aggregate
+//     and active count are cached per (time, mutation version), and
+//     availability queries read their connection's rate from the memo, so
+//     the viceroy re-evaluating every app after an observation evaluates
+//     no meter at all.  Per-connection state sits in a vector indexed by
+//     the dense ConnectionId, so a lookup is one bounds check and one
+//     load.
 //   * NaiveSupplyModel (naive_supply_model.h) — the original full-rescan
 //     implementation, kept verbatim as the reference side of the
 //     differential tests (tests/scale_differential_test.cc).  Never used
@@ -43,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -107,14 +115,15 @@ class SupplyModelInterface {
   // these into the dirty-app set of its re-evaluation hint.
   virtual void CollectLiveConnections(Time now, std::vector<ConnectionId>* out) const = 0;
 
-  // Lifetime count of per-connection meter evaluations performed by
-  // aggregate scans and availability queries — a deterministic proxy for
-  // the model's work, independent of the machine (the tier_scale campaign
-  // charts it against the naive model's count).
+  // Lifetime count of per-connection meter evaluations the model actually
+  // performed for aggregate scans and availability queries — a
+  // deterministic proxy for its work, independent of the machine (the
+  // tier_scale campaign charts it against the naive model's count).  A
+  // rate answered from a memo is not an evaluation.
   virtual uint64_t scan_ops() const = 0;
 };
 
-// The incremental production model (live set + per-instant cache).
+// The incremental production model (live set + per-meter rate memo).
 class SupplyModel : public SupplyModelInterface {
  public:
   explicit SupplyModel(const SupplyModelConfig& config = {});
@@ -147,8 +156,26 @@ class SupplyModel : public SupplyModelInterface {
   const PerConnection* Find(ConnectionId connection) const;
   PerConnection* Find(ConnectionId connection);
 
+  // A live-set entry: a connection whose meter may hold unexpired events,
+  // with the meter's rate memoized as evaluated at |rate_at|.  The memo
+  // sits here rather than in PerConnection so it costs O(live) memory,
+  // not O(registered).
+  struct LiveEntry {
+    ConnectionId id;
+    Time rate_at;
+    double rate;
+  };
+  // |rate_at| of an entry whose meter was recorded into since its last
+  // evaluation; no simulated instant equals it.
+  static constexpr Time kStale = std::numeric_limits<Time>::min();
+
+  // The first live entry whose id is not below |connection|.
+  std::vector<LiveEntry>::iterator LiveLowerBound(ConnectionId connection) const;
+
   // Recomputes (and caches) the aggregate usage rate and active count over
-  // the live set at |now|, evicting connections whose meters pruned empty.
+  // the live set at |now|, evaluating only meters whose memo is stale or
+  // from another instant, and evicting connections whose meters pruned
+  // empty.  Afterwards every live entry's memo holds its rate at |now|.
   void ScanAt(Time now) const;
 
   SupplyModelConfig config_;
@@ -158,9 +185,10 @@ class SupplyModel : public SupplyModelInterface {
   size_t registered_ = 0;
   SlidingMax supply_;
 
-  // Ascending ids of connections whose meters may hold unexpired events.
-  // Mutated lazily from const scans (eviction), like the meters' pruning.
-  mutable std::vector<ConnectionId> live_;
+  // Ascending by id.  Every connection whose meter is non-empty has an
+  // entry (a connection without one rates exactly 0.0).  Mutated lazily
+  // from const scans (memo refresh, eviction), like the meters' pruning.
+  mutable std::vector<LiveEntry> live_;
 
   // Cache of the last ScanAt, keyed by (time, mutation version).
   mutable bool cache_valid_ = false;

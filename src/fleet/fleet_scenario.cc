@@ -576,9 +576,14 @@ void RegisterFleetScenarios(ScenarioRegistry* registry) {
       "waveform family, with all fuzzing oracles on";
 
   const auto add = [&scenario](const FleetParams& params) {
-    const std::string name = "n" + std::to_string(params.nodes) + "_" +
-                             FleetStrategyName(params.strategy) + "_" +
-                             (params.mobility ? "mob" : "fixed");
+    // Appended piecewise: g++ 12 raises a -Wrestrict false positive inside
+    // libstdc++ on a `"literal" + std::string&&` chain at -O3.
+    std::string name = "n";
+    name += std::to_string(params.nodes);
+    name += "_";
+    name += FleetStrategyName(params.strategy);
+    name += "_";
+    name += params.mobility ? "mob" : "fixed";
     scenario.variants.push_back(ScenarioVariant{
         name, [params](uint64_t seed, TraceRecorder* trace) {
           return RunFleetTrial(params, seed, trace);

@@ -9,6 +9,7 @@
 #ifndef SRC_RPC_OBSERVATION_LOG_H_
 #define SRC_RPC_OBSERVATION_LOG_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -68,7 +69,17 @@ class ObservationLog {
     std::erase(listeners_, listener);
   }
 
+  // The Record calls drop a malformed observation — a negative rtt or
+  // elapsed time, or window bytes that are negative or not finite — before
+  // it is stored or forwarded, and count it in rejected_count().  Such
+  // values come from a broken transport or feed, not from the network, and
+  // listeners would carry them straight into the usage meters and the
+  // supply envelope.  A zero elapsed time is legal: a point delivery.
   void RecordRoundTrip(Time at, Duration rtt) {
+    if (rtt < 0) {
+      ++rejected_;
+      return;
+    }
     round_trips_.push_back(RoundTripObservation{at, rtt});
     for (LogListener* listener : listeners_) {
       listener->OnRoundTrip(connection_, round_trips_.back());
@@ -76,6 +87,10 @@ class ObservationLog {
   }
 
   void RecordThroughput(Time at, double window_bytes, Duration elapsed) {
+    if (!std::isfinite(window_bytes) || window_bytes < 0.0 || elapsed < 0) {
+      ++rejected_;
+      return;
+    }
     throughputs_.push_back(ThroughputObservation{at, window_bytes, elapsed});
     for (LogListener* listener : listeners_) {
       listener->OnThroughput(connection_, throughputs_.back());
@@ -93,6 +108,9 @@ class ObservationLog {
   const std::vector<ThroughputObservation>& throughputs() const { return throughputs_; }
   const std::vector<FailureObservation>& failures() const { return failures_; }
 
+  // Malformed observations dropped by the Record calls.
+  uint64_t rejected_count() const { return rejected_; }
+
   // Total bytes covered by throughput entries; used by demand accounting
   // sanity checks.
   double TotalBulkBytes() const {
@@ -109,6 +127,7 @@ class ObservationLog {
   std::vector<ThroughputObservation> throughputs_;
   std::vector<FailureObservation> failures_;
   std::vector<LogListener*> listeners_;
+  uint64_t rejected_ = 0;
 };
 
 }  // namespace odyssey

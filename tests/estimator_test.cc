@@ -1,13 +1,19 @@
 // Unit tests for EWMA smoothing, usage accounting, per-connection
-// estimation, and the centralized supply model (§6.2.1).
+// estimation, and the centralized supply model (§6.2.1), including its
+// rate memo against the naive reference.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "src/estimator/connection_estimator.h"
 #include "src/estimator/ewma.h"
+#include "src/estimator/naive_supply_model.h"
 #include "src/estimator/sliding_max.h"
 #include "src/estimator/supply_model.h"
 #include "src/estimator/usage_meter.h"
+#include "src/sim/random.h"
 
 namespace odyssey {
 namespace {
@@ -363,6 +369,98 @@ TEST_F(SupplyModelTest, ActiveCountDropsWithIdleness) {
   EXPECT_EQ(model_.ActiveConnectionCount(busy), 2);
   // After 30 s of silence both decayed; count floors at 1.
   EXPECT_EQ(model_.ActiveConnectionCount(busy + 30 * kSecond), 1);
+}
+
+// --- Rate memo ---
+//
+// SupplyModel evaluates each live meter at most once per instant: a scan
+// re-evaluates only entries recorded into since (stale) or memoized at
+// another instant, and availability queries read the memo.  scan_ops counts
+// the evaluations performed, so it pins the memo's work exactly.
+
+TEST(SupplyModelMemoTest, SameInstantBurstEvaluatesOnlyTheChangedMeter) {
+  constexpr int kLive = 8;
+  SupplyModel model;
+  for (ConnectionId c = 1; c <= kLive; ++c) {
+    model.AddConnection(c);
+    model.OnThroughput(c, {static_cast<Time>(c) * kMillisecond, 32.0 * kKb, 200 * kMillisecond});
+  }
+  const Time burst = 100 * kMillisecond;  // well inside every meter's window
+  const uint64_t before = model.scan_ops();
+  model.OnThroughput(1, {burst, 32.0 * kKb, 50 * kMillisecond});
+  // The first scan at the new instant evaluates every live meter once.
+  EXPECT_EQ(model.scan_ops() - before, static_cast<uint64_t>(kLive));
+  for (ConnectionId c = 2; c <= kLive; ++c) {
+    const uint64_t prior = model.scan_ops();
+    model.OnThroughput(c, {burst, 32.0 * kKb, 50 * kMillisecond});
+    EXPECT_EQ(model.scan_ops() - prior, 1u) << "observation on connection " << c;
+  }
+  // Availability queries at the instant read memos: no evaluation at all.
+  const uint64_t settled = model.scan_ops();
+  for (ConnectionId c = 0; c <= kLive + 1; ++c) {
+    model.AvailabilityFor(c, burst);
+  }
+  EXPECT_EQ(model.ActiveConnectionCount(burst), kLive);
+  EXPECT_EQ(model.scan_ops(), settled);
+}
+
+// Random interleavings of every SupplyModelInterface operation against the
+// naive model, compared bit for bit.  Instants repeat (so records land on
+// memoized instants) and advance by up to twice the usage window (so meters
+// prune empty and leave the live set).
+TEST(SupplyModelMemoTest, MatchesNaiveModelBitForBit) {
+  const auto bits = [](double value) {
+    uint64_t out = 0;
+    std::memcpy(&out, &value, sizeof(out));
+    return out;
+  };
+  constexpr ConnectionId kIds = 12;
+  int records_on_memoized_instant = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    SupplyModel fast;
+    NaiveSupplyModel naive;
+    Time now = 0;
+    bool queried_now = false;
+    for (int op = 0; op < 600; ++op) {
+      const ConnectionId c = rng.UniformInt(kIds + 1);  // 0 is never registered
+      const uint64_t kind = rng.UniformInt(100);
+      if (kind < 25) {
+        if (rng.UniformInt(3) == 0) {
+          now += static_cast<Duration>(rng.UniformInt(4 * kSecond));
+          queried_now = false;
+        }
+      } else if (kind < 55) {
+        const double bytes = static_cast<double>(rng.UniformInt(64 * 1024));
+        const Duration elapsed = static_cast<Duration>(rng.UniformInt(600 * kMillisecond));
+        if (queried_now && fast.EstimatorFor(c) != nullptr) {
+          ++records_on_memoized_instant;
+        }
+        fast.OnThroughput(c, {now, bytes, elapsed});
+        naive.OnThroughput(c, {now, bytes, elapsed});
+      } else if (kind < 75) {
+        queried_now = true;
+        ASSERT_EQ(bits(fast.AvailabilityFor(c, now)), bits(naive.AvailabilityFor(c, now)))
+            << "seed " << seed << " op " << op << " connection " << c;
+      } else if (kind < 82) {
+        queried_now = true;
+        ASSERT_EQ(fast.ActiveConnectionCount(now), naive.ActiveConnectionCount(now))
+            << "seed " << seed << " op " << op;
+      } else if (kind < 89) {
+        ASSERT_EQ(bits(fast.UsageRateFor(c, now)), bits(naive.UsageRateFor(c, now)))
+            << "seed " << seed << " op " << op << " connection " << c;
+      } else if (kind < 96) {
+        fast.AddConnection(c);
+        naive.AddConnection(c);
+      } else {
+        fast.RemoveConnection(c);
+        naive.RemoveConnection(c);
+      }
+      ASSERT_EQ(bits(fast.TotalSupply()), bits(naive.TotalSupply()))
+          << "seed " << seed << " op " << op;
+    }
+  }
+  EXPECT_GT(records_on_memoized_instant, 100);
 }
 
 // Property sweep: supply estimation converges to the true rate for a wide

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/net/link.h"
 #include "src/rpc/endpoint.h"
 #include "src/rpc/observation_log.h"
@@ -48,6 +50,50 @@ TEST(ObservationLogTest, RemoveListenerStopsNotifications) {
   log.RemoveListener(&listener);
   log.RecordRoundTrip(0, 1);
   EXPECT_TRUE(listener.round_trips.empty());
+}
+
+// Malformed passive observations come from a broken transport or feed, not
+// from the network: the log drops them before storing or forwarding.
+TEST(ObservationLogTest, DropsMalformedThroughput) {
+  ObservationLog log(3);
+  RecordingListener listener;
+  log.AddListener(&listener);
+  log.RecordThroughput(100, std::numeric_limits<double>::quiet_NaN(), kSecond);
+  log.RecordThroughput(100, std::numeric_limits<double>::infinity(), kSecond);
+  log.RecordThroughput(100, -1.0, kSecond);
+  log.RecordThroughput(100, 1000.0, -1);
+  EXPECT_TRUE(log.throughputs().empty());
+  EXPECT_TRUE(listener.throughputs.empty());
+  EXPECT_DOUBLE_EQ(log.TotalBulkBytes(), 0.0);
+}
+
+TEST(ObservationLogTest, DropsNegativeRoundTrip) {
+  ObservationLog log(3);
+  RecordingListener listener;
+  log.AddListener(&listener);
+  log.RecordRoundTrip(100, -1);
+  EXPECT_TRUE(log.round_trips().empty());
+  EXPECT_TRUE(listener.round_trips.empty());
+}
+
+TEST(ObservationLogTest, CountsRejectedAndKeepsBoundaryValues) {
+  ObservationLog log(3);
+  RecordingListener listener;
+  log.AddListener(&listener);
+  log.RecordThroughput(100, -0.5, kSecond);
+  log.RecordThroughput(100, 1000.0, -kSecond);
+  log.RecordRoundTrip(100, -kMillisecond);
+  EXPECT_EQ(log.rejected_count(), 3u);
+  // Zero bytes, a zero elapsed (a point delivery) and a zero rtt are legal.
+  log.RecordThroughput(200, 0.0, kSecond);
+  log.RecordThroughput(200, 1000.0, 0);
+  log.RecordRoundTrip(200, 0);
+  EXPECT_EQ(log.rejected_count(), 3u);
+  ASSERT_EQ(listener.throughputs.size(), 2u);
+  EXPECT_EQ(listener.throughputs[1].elapsed, 0);
+  ASSERT_EQ(listener.round_trips.size(), 1u);
+  EXPECT_EQ(log.throughputs().size(), 2u);
+  EXPECT_EQ(log.round_trips().size(), 1u);
 }
 
 TEST(EndpointTest, UniqueIds) {
