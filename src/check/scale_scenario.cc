@@ -21,6 +21,7 @@
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 #include "src/strategies/centralized.h"
+#include "src/strategies/strategy_registry.h"
 
 namespace odyssey {
 namespace {
@@ -80,7 +81,7 @@ class ScaleRig {
         link_(&sim_, scenario_.segments.front().bandwidth_bps, 10 * kMillisecond),
         viceroy_(&sim_, MakeStrategy(&sim_, params), kUpcallLatency) {
     sim_.set_trace(trace);
-    strategy_ = static_cast<CentralizedStrategy*>(&viceroy_.strategy());
+    strategy_ = viceroy_.strategy().audit_surface();
     viceroy_.set_reevaluate_mode(params.mode);
     oracle_ = std::make_unique<OracleSet>(scenario_, &sim_, &viceroy_, strategy_, &link_);
     oracle_->set_max_audited_connections(params.max_audited_connections);
@@ -118,7 +119,10 @@ class ScaleRig {
 
   static std::unique_ptr<BandwidthStrategy> MakeStrategy(Simulation* sim,
                                                          const ScaleParams& params) {
-    return std::make_unique<CentralizedStrategy>(sim, SupplyModelConfig{}, params.kind);
+    StrategyContext context;
+    context.sim = sim;
+    context.supply_kind = params.kind;
+    return StrategyRegistry::Builtin().Create("odyssey", std::move(context));
   }
 
   void Build() {

@@ -17,22 +17,6 @@
 namespace odyssey {
 namespace {
 
-// Strategy rows of the zoo grid.  |token| is the variant-name prefix and
-// matches the fleet_share vocabulary; |registry| is the builtin
-// StrategyRegistry name the cell installs.
-struct ZooStrategy {
-  const char* token;
-  const char* registry;
-};
-
-constexpr ZooStrategy kZooStrategies[] = {
-    {"odyssey", "odyssey"},
-    {"laissez", "laissez-faire"},
-    {"blind", "blind-optimism"},
-    {"cm", "congestion-manager"},
-    {"broker", "admission-broker"},
-};
-
 // The workload shapes.  Each builds a fully explicit FuzzScenario — no
 // generator draws — so every strategy faces the identical op schedule and
 // the only degree of freedom per trial is the seed (server randomness, and
@@ -214,9 +198,11 @@ void RegisterZooScenarios(ScenarioRegistry* registry) {
   scenario.description =
       "Every registered bandwidth strategy through the supply-step, demand-churn, "
       "six-warden and mobility cells, with all fuzzing oracles on";
+  // The table must stay in lockstep with the builtin registry: a strategy
+  // added there without a zoo row would silently escape both grids.
+  ODY_ASSERT(std::size(kZooStrategies) == StrategyRegistry::Builtin().Names().size(),
+             "a registered strategy has no zoo row");
   for (const ZooStrategy& strategy : kZooStrategies) {
-    // The table must stay in lockstep with the builtin registry: a strategy
-    // added there without a zoo row would silently escape the campaign.
     ODY_ASSERT(StrategyRegistry::Builtin().Find(strategy.registry) != nullptr,
                "zoo table references an unregistered strategy");
     for (int s = 0; s < 4; ++s) {

@@ -24,11 +24,25 @@
 
 namespace odyssey {
 
-// Registers the "strategy_zoo" scenario: variants <strategy>_{supply,
-// demand, concurrent, mob} for every name in StrategyRegistry::Builtin()
-// (strategy short names match the fleet_share variant vocabulary:
-// odyssey, laissez, blind, cm, broker).  Asserts that registration
-// succeeds, like RegisterBuiltinScenarios.
+// The strategy rows of the strategy_zoo and fleet_share grids, in builtin
+// registration order.  |token| is the variant-name prefix; |registry| is
+// the StrategyRegistry::Builtin() name the cell installs.
+struct ZooStrategy {
+  const char* token;
+  const char* registry;
+};
+
+inline constexpr ZooStrategy kZooStrategies[] = {
+    {"odyssey", "odyssey"},
+    {"laissez", "laissez-faire"},
+    {"blind", "blind-optimism"},
+    {"cm", "congestion-manager"},
+    {"broker", "admission-broker"},
+};
+
+// Registers the "strategy_zoo" scenario: variants <token>_{supply, demand,
+// concurrent, mob} for every row of kZooStrategies.  Asserts that
+// registration succeeds, like RegisterBuiltinScenarios.
 void RegisterZooScenarios(ScenarioRegistry* registry);
 
 // The tier_zoo campaign spec: every strategy_zoo variant plus the

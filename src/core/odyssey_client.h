@@ -11,7 +11,7 @@
 //   Link link(&sim, capacity, latency);
 //   Modulator modulator(&sim, &link);
 //   OdysseyClient client(&sim, &link,
-//                        std::make_unique<CentralizedStrategy>(&sim));
+//                        StrategyRegistry::Builtin().Create("odyssey", {.sim = &sim}));
 //   client.InstallWarden(std::make_unique<VideoWarden>(server));
 //   AppId app = client.RegisterApplication("xanim");
 //   ...

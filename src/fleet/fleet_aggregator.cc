@@ -7,6 +7,23 @@
 #include "src/sim/random.h"
 
 namespace odyssey {
+namespace {
+
+// A peer's message is untrusted input: one NaN supply would turn a server's
+// weighted sum NaN while its view still reported `valid`.
+bool WellFormed(const FleetMessage& message) {
+  switch (message.kind) {
+    case FleetMessageKind::kAnnounce:
+      return true;
+    case FleetMessageKind::kEstimate:
+      return std::isfinite(message.supply_bps) && message.supply_bps >= 0.0 &&
+             std::isfinite(message.usage_bps) && message.usage_bps >= 0.0 &&
+             message.active >= 0;
+  }
+  return false;  // unknown kind
+}
+
+}  // namespace
 
 FleetAggregator::FleetAggregator(Simulation* sim, FleetDispatcher* dispatcher, FleetNodeId self,
                                  uint64_t seed, const FleetAggregatorConfig& config)
@@ -69,6 +86,10 @@ void FleetAggregator::AnnounceNow() {
 }
 
 void FleetAggregator::OnMessage(const FleetMessage& message) {
+  if (!WellFormed(message)) {
+    ++rejected_;
+    return;
+  }
   members_[message.server].insert(message.origin);
   if (message.kind != FleetMessageKind::kEstimate) {
     return;

@@ -83,6 +83,9 @@ class FleetAggregator {
 
   // Dispatcher delivery handler; also invoked locally on the node's own
   // reports so the self view is always at least as fresh as any peer's.
+  // Drops, and counts in rejected_count(), a message of unknown kind or an
+  // estimate whose supply_bps or usage_bps is negative or not finite or
+  // whose active count is negative; a dropped message leaves no state.
   void OnMessage(const FleetMessage& message);
 
   // One announce round now: a kAnnounce for any newly seen server, then a
@@ -97,6 +100,8 @@ class FleetAggregator {
 
   FleetNodeId self() const { return self_; }
   uint64_t reports_broadcast() const { return reports_broadcast_; }
+  // Malformed messages dropped by OnMessage.
+  uint64_t rejected_count() const { return rejected_; }
 
  private:
   void Tick();
@@ -110,6 +115,7 @@ class FleetAggregator {
   ReportSource source_;
   uint64_t next_seq_ = 1;
   uint64_t reports_broadcast_ = 0;
+  uint64_t rejected_ = 0;
   // Latest report per (server, origin); highest seq wins.
   std::map<FleetServerId, std::map<FleetNodeId, FleetMessage>> reports_;
   // Per-server membership from announces and estimates alike.

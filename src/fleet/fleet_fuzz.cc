@@ -10,8 +10,8 @@
 #include "src/core/odyssey_client.h"
 #include "src/fleet/fleet_aggregator.h"
 #include "src/fleet/fleet_dispatcher.h"
+#include "src/fleet/fleet_node.h"
 #include "src/fleet/fleet_oracle.h"
-#include "src/fleet/fleet_supply_model.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
 #include "src/net/modulator.h"
@@ -19,8 +19,6 @@
 #include "src/servers/file_server.h"
 #include "src/servers/telemetry_server.h"
 #include "src/sim/random.h"
-#include "src/strategies/centralized.h"
-#include "src/strategies/strategy_registry.h"
 #include "src/tracemod/replay_trace.h"
 #include "src/wardens/bitstream_warden.h"
 #include "src/wardens/file_warden.h"
@@ -36,35 +34,6 @@ namespace {
 // generator's longest outage (kMaxOutage = 3s) plus a couple of announce
 // rounds, so every node rebroadcasts at least once after the last fault.
 constexpr Duration kConvergenceTail = 4 * kSecond;
-
-// Stable service -> server-group mapping (FNV-1a 64; std::hash is
-// implementation-defined and would break cross-platform reproducibility).
-FleetServerId ServerGroupOf(const std::string& service, int servers) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : service) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<FleetServerId>(h % static_cast<uint64_t>(servers));
-}
-
-// One client node's rig.  Declaration order is destruction order in
-// reverse: the oracle goes first, then the client (which detaches every
-// endpoint from the strategy), and only then the aggregator the strategy's
-// fleet model borrows.
-struct FleetNode {
-  FuzzScenario scenario;  // per-node waveform; referenced by the oracle
-  ReplayTrace waveform;
-  FaultPlan plan;
-  std::unique_ptr<Link> link;
-  std::unique_ptr<Modulator> modulator;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FleetAggregator> aggregator;
-  FleetSupplyModel* model = nullptr;        // owned by the strategy (centralized family)
-  CentralizedStrategy* strategy = nullptr;  // audit surface; null for isolated estimates
-  std::unique_ptr<OdysseyClient> client;
-  std::unique_ptr<OracleSet> oracle;
-};
 
 }  // namespace
 
@@ -134,54 +103,10 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
     node->aggregator = std::make_unique<FleetAggregator>(
         &sim, &dispatcher, static_cast<FleetNodeId>(i), scenario.seed);
     // The node's strategy comes from the registry (the scenario's strategy
-    // dimension); centralized-family strategies get the fleet-aggregated
-    // supply model injected, so admission control and congestion-manager
-    // grouping compose with sharded aggregation.
-    const std::string strategy_name = scenario.strategy.empty() ? "odyssey" : scenario.strategy;
-    const StrategyInfo* info = StrategyRegistry::Builtin().Find(strategy_name);
-    ODY_ASSERT(info != nullptr, "unknown fleet strategy name");
-    StrategyContext context;
-    context.sim = &sim;
-    context.modulator = node->modulator.get();
-    if (info->audited) {
-      auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-      node->model = model.get();
-      context.injected_model = std::move(model);
-    }
-    std::unique_ptr<BandwidthStrategy> strategy =
-        StrategyRegistry::Builtin().Create(strategy_name, std::move(context));
-    node->strategy = strategy->audit_surface();
-    node->client = std::make_unique<OdysseyClient>(&sim, node->link.get(), std::move(strategy),
-                                                   kUpcallLatency);
-
-    if (node->model != nullptr) {
-      FleetSupplyModel* model_ptr = node->model;
-      node->client->set_connection_observer(
-          [model_ptr, server_groups](Endpoint* endpoint, const std::string& service) {
-            model_ptr->MapConnection(endpoint->id(), ServerGroupOf(service, server_groups));
-          });
-      node->aggregator->set_report_source(
-          [model_ptr, &sim] { return model_ptr->LocalReports(sim.now()); });  // ody_lint: owned-capture
-    } else {
-      // Isolated-estimate strategies still publish whole-link estimates so
-      // discovery and convergence cover them (same as the fleet campaign
-      // rig): one report per server group at the strategy's total supply.
-      BandwidthStrategy* raw = &node->client->viceroy().strategy();
-      node->aggregator->set_report_source([raw, server_groups, &sim] {  // ody_lint: owned-capture
-        std::vector<FleetAggregator::LocalReport> reports;
-        if (!raw->HasEstimate()) {
-          return reports;
-        }
-        for (int s = 0; s < server_groups; ++s) {
-          FleetAggregator::LocalReport report;
-          report.server = static_cast<FleetServerId>(s);
-          report.supply_bps = raw->TotalSupply(sim.now());
-          report.active = 1;
-          reports.push_back(report);
-        }
-        return reports;
-      });
-    }
+    // dimension).
+    BuildFleetNodeClient(node.get(), &sim,
+                         scenario.strategy.empty() ? "odyssey" : scenario.strategy,
+                         server_groups);
 
     node->client->InstallWarden(std::make_unique<VideoWarden>(&video_server));
     node->client->InstallWarden(std::make_unique<WebWarden>(&distillation_server));
@@ -193,7 +118,7 @@ FuzzRunResult RunFleetFuzzScenario(const FuzzScenario& scenario, const FuzzRunOp
     node->client->set_fault_injector(node->injector.get());
 
     node->oracle = std::make_unique<OracleSet>(node->scenario, &sim, &node->client->viceroy(),
-                                               node->strategy, node->link.get());
+                                               node->centralized, node->link.get());
     node->oracle->set_max_audited_connections(options.max_audited_connections);
     nodes.push_back(std::move(node));
   }

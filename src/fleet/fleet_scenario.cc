@@ -12,14 +12,15 @@
 
 #include "src/check/fuzz_scenario.h"
 #include "src/check/oracles.h"
+#include "src/check/zoo_scenario.h"
 #include "src/core/contract.h"
 #include "src/core/odyssey_client.h"
 #include "src/core/resource.h"
 #include "src/fleet/fleet_aggregator.h"
 #include "src/fleet/fleet_dispatcher.h"
+#include "src/fleet/fleet_node.h"
 #include "src/fleet/fleet_oracle.h"
 #include "src/fleet/fleet_supply_model.h"
-#include "src/metrics/experiment.h"
 #include "src/mobility/waveform_source.h"
 #include "src/net/fault_injector.h"
 #include "src/net/link.h"
@@ -29,11 +30,6 @@
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
-#include "src/strategies/admission_broker.h"
-#include "src/strategies/blind_optimism.h"
-#include "src/strategies/centralized.h"
-#include "src/strategies/congestion_manager.h"
-#include "src/strategies/laissez_faire.h"
 #include "src/tracemod/replay_trace.h"
 #include "src/wardens/file_warden.h"
 #include "src/wardens/telemetry_warden.h"
@@ -55,55 +51,14 @@ constexpr Duration kReadPeriod = 1 * kSecond;
 constexpr Duration kConvergenceTail = 4 * kSecond;
 constexpr double kConvergenceTolerance = 0.01;
 
-enum class FleetStrategyKind {
-  kOdyssey,
-  kLaissezFaire,
-  kBlindOptimism,
-  kCongestionManager,
-  kAdmissionBroker,
-};
-
-const char* FleetStrategyName(FleetStrategyKind kind) {
-  switch (kind) {
-    case FleetStrategyKind::kOdyssey:
-      return "odyssey";
-    case FleetStrategyKind::kLaissezFaire:
-      return "laissez";
-    case FleetStrategyKind::kBlindOptimism:
-      return "blind";
-    case FleetStrategyKind::kCongestionManager:
-      return "cm";
-    case FleetStrategyKind::kAdmissionBroker:
-      return "broker";
-  }
-  return "?";
-}
-
 struct FleetParams {
   int nodes = 2;
   int servers = 2;
-  FleetStrategyKind strategy = FleetStrategyKind::kOdyssey;
+  ZooStrategy strategy = kZooStrategies[0];
   bool mobility = false;
   Duration horizon = 8 * kSecond;
   int apps_per_node = 2;
 };
-
-// Stable service -> server-group mapping for warden-opened connections
-// (FNV-1a 64, same scheme as the fleet fuzz runner); explicit "fleet-s<k>"
-// services parse their suffix directly.
-FleetServerId ServerGroupOf(const std::string& service, int servers) {
-  constexpr char kPrefix[] = "fleet-s";
-  if (service.rfind(kPrefix, 0) == 0) {
-    return static_cast<FleetServerId>(
-        std::stoul(service.substr(sizeof(kPrefix) - 1)) % static_cast<unsigned long>(servers));
-  }
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : service) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<FleetServerId>(h % static_cast<uint64_t>(servers));
-}
 
 // The node's waveform: fixed quarters scaled by a per-node factor in
 // [0.6, 1.4), or a motion-generated trace (model rotated per node).  Either
@@ -149,21 +104,8 @@ struct AppState {
   double weight = 1.0;    // synthetic-feed share of the node waveform
 };
 
-// One client node of the fleet rig.  Declaration order is destruction
-// order in reverse: the oracle first, then the client (which detaches every
-// endpoint from the strategy), then the aggregator the fleet model borrows.
-struct FleetRigNode {
-  FuzzScenario scenario;
-  ReplayTrace waveform;
-  FaultPlan plan;
-  std::unique_ptr<Link> link;
-  std::unique_ptr<Modulator> modulator;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FleetAggregator> aggregator;
-  FleetSupplyModel* model = nullptr;        // owned by the strategy (odyssey only)
-  CentralizedStrategy* centralized = nullptr;  // owned by the client (odyssey only)
-  std::unique_ptr<OdysseyClient> client;
-  std::unique_ptr<OracleSet> oracle;
+// One client node of the fleet rig, plus its synthetic apps.
+struct FleetRigNode : FleetNode {
   std::vector<AppState> apps;
   uint64_t tick = 0;
 };
@@ -240,74 +182,7 @@ class FleetRig {
     node->aggregator = std::make_unique<FleetAggregator>(&sim_, dispatcher_.get(),
                                                          static_cast<FleetNodeId>(index), seed_);
 
-    std::unique_ptr<BandwidthStrategy> strategy;
-    switch (params_.strategy) {
-      case FleetStrategyKind::kOdyssey: {
-        auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-        node->model = model.get();
-        auto centralized = std::make_unique<CentralizedStrategy>(&sim_, std::move(model));
-        node->centralized = centralized.get();
-        strategy = std::move(centralized);
-        break;
-      }
-      case FleetStrategyKind::kLaissezFaire:
-        strategy = std::make_unique<LaissezFaireStrategy>();
-        break;
-      case FleetStrategyKind::kBlindOptimism:
-        strategy = std::make_unique<BlindOptimismStrategy>(node->modulator.get());
-        break;
-      case FleetStrategyKind::kCongestionManager: {
-        // Same sharded aggregation as odyssey, regrouped per server.
-        auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-        node->model = model.get();
-        auto cm = std::make_unique<CongestionManagerStrategy>(&sim_, std::move(model));
-        node->centralized = cm.get();
-        strategy = std::move(cm);
-        break;
-      }
-      case FleetStrategyKind::kAdmissionBroker: {
-        // Admission control composed over the fleet-aggregated estimator:
-        // the broker arbitrates registrations against cross-node supply.
-        auto model = std::make_unique<FleetSupplyModel>(node->aggregator.get());
-        node->model = model.get();
-        auto inner = std::make_unique<CentralizedStrategy>(&sim_, std::move(model));
-        node->centralized = inner.get();
-        strategy = std::make_unique<AdmissionBrokerStrategy>(&sim_, std::move(inner));
-        break;
-      }
-    }
-    node->client = std::make_unique<OdysseyClient>(&sim_, node->link.get(), std::move(strategy),
-                                                   kUpcallLatency);
-    if (node->model != nullptr) {
-      FleetSupplyModel* model = node->model;
-      const int servers = params_.servers;
-      node->client->set_connection_observer(
-          [model, servers](Endpoint* endpoint, const std::string& service) {
-            model->MapConnection(endpoint->id(), ServerGroupOf(service, servers));
-          });
-      node->aggregator->set_report_source(
-          [model, this] { return model->LocalReports(sim_.now()); });  // ody_lint: owned-capture
-    } else {
-      // Laissez-faire and blind optimism nodes still publish estimates so
-      // the discovery + convergence story covers every strategy: one report
-      // per server group, carrying the strategy's whole-link supply.
-      BandwidthStrategy* raw = &node->client->viceroy().strategy();
-      const int servers = params_.servers;
-      node->aggregator->set_report_source([raw, servers, this] {  // ody_lint: owned-capture
-        std::vector<FleetAggregator::LocalReport> reports;
-        if (!raw->HasEstimate()) {
-          return reports;
-        }
-        for (int s = 0; s < servers; ++s) {
-          FleetAggregator::LocalReport report;
-          report.server = static_cast<FleetServerId>(s);
-          report.supply_bps = raw->TotalSupply(sim_.now());
-          report.active = 1;
-          reports.push_back(report);
-        }
-        return reports;
-      });
-    }
+    BuildFleetNodeClient(node.get(), &sim_, params_.strategy.registry, params_.servers);
     node->client->InstallWarden(std::make_unique<FileWarden>(file_server_.get()));
     node->client->InstallWarden(std::make_unique<TelemetryWarden>(telemetry_server_.get()));
     node->client->set_fault_injector(node->injector.get());
@@ -581,7 +456,7 @@ void RegisterFleetScenarios(ScenarioRegistry* registry) {
     std::string name = "n";
     name += std::to_string(params.nodes);
     name += "_";
-    name += FleetStrategyName(params.strategy);
+    name += params.strategy.token;
     name += "_";
     name += params.mobility ? "mob" : "fixed";
     scenario.variants.push_back(ScenarioVariant{
@@ -591,10 +466,7 @@ void RegisterFleetScenarios(ScenarioRegistry* registry) {
   };
 
   for (const int nodes : {2, 8, 32, 128}) {
-    for (const FleetStrategyKind strategy :
-         {FleetStrategyKind::kOdyssey, FleetStrategyKind::kLaissezFaire,
-          FleetStrategyKind::kBlindOptimism, FleetStrategyKind::kCongestionManager,
-          FleetStrategyKind::kAdmissionBroker}) {
+    for (const ZooStrategy& strategy : kZooStrategies) {
       for (const bool mobility : {false, true}) {
         FleetParams params;
         params.nodes = nodes;

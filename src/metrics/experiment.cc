@@ -4,60 +4,23 @@
 
 #include "src/core/contract.h"
 #include "src/servers/calibration.h"
+#include "src/strategies/strategy_registry.h"
 
 namespace odyssey {
 
-const char* StrategyKindName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kOdyssey:
-      return "Odyssey";
-    case StrategyKind::kLaissezFaire:
-      return "Laissez-Faire";
-    case StrategyKind::kBlindOptimism:
-      return "Blind-Optimism";
-    case StrategyKind::kCongestionManager:
-      return "Congestion-Manager";
-    case StrategyKind::kAdmissionBroker:
-      return "Admission-Broker";
-  }
-  return "Unknown";
-}
-
-ExperimentRig::ExperimentRig(uint64_t seed, StrategyKind strategy)
+ExperimentRig::ExperimentRig(uint64_t seed, const std::string& strategy)
     : sim_(seed),
       link_(&sim_, kHighBandwidth, kOneWayLatency),
       modulator_(&sim_, &link_),
-      strategy_kind_(strategy),
       video_server_(&sim_.rng()),
-      distillation_server_(&sim_.rng()) ,
+      distillation_server_(&sim_.rng()),
       janus_server_(&sim_.rng()) {
-  std::unique_ptr<BandwidthStrategy> bandwidth_strategy;
-  switch (strategy) {
-    case StrategyKind::kOdyssey: {
-      auto centralized = std::make_unique<CentralizedStrategy>(&sim_);
-      centralized_ = centralized.get();
-      bandwidth_strategy = std::move(centralized);
-      break;
-    }
-    case StrategyKind::kLaissezFaire:
-      bandwidth_strategy = std::make_unique<LaissezFaireStrategy>();
-      break;
-    case StrategyKind::kBlindOptimism:
-      bandwidth_strategy = std::make_unique<BlindOptimismStrategy>(&modulator_);
-      break;
-    case StrategyKind::kCongestionManager: {
-      auto cm = std::make_unique<CongestionManagerStrategy>(&sim_);
-      centralized_ = cm.get();
-      bandwidth_strategy = std::move(cm);
-      break;
-    }
-    case StrategyKind::kAdmissionBroker: {
-      auto inner = std::make_unique<CentralizedStrategy>(&sim_);
-      centralized_ = inner.get();
-      bandwidth_strategy = std::make_unique<AdmissionBrokerStrategy>(&sim_, std::move(inner));
-      break;
-    }
-  }
+  StrategyContext context;
+  context.sim = &sim_;
+  context.modulator = &modulator_;
+  std::unique_ptr<BandwidthStrategy> bandwidth_strategy =
+      StrategyRegistry::Builtin().Create(strategy, std::move(context));
+  centralized_ = bandwidth_strategy->audit_surface();
   client_ = std::make_unique<OdysseyClient>(&sim_, &link_, std::move(bandwidth_strategy),
                                             kUpcallLatency);
 

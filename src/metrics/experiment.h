@@ -16,11 +16,7 @@
 #include "src/servers/janus_server.h"
 #include "src/servers/video_server.h"
 #include "src/sim/simulation.h"
-#include "src/strategies/admission_broker.h"
-#include "src/strategies/blind_optimism.h"
 #include "src/strategies/centralized.h"
-#include "src/strategies/congestion_manager.h"
-#include "src/strategies/laissez_faire.h"
 #include "src/tracemod/waveforms.h"
 #include "src/wardens/bitstream_warden.h"
 #include "src/wardens/speech_warden.h"
@@ -28,19 +24,6 @@
 #include "src/wardens/web_warden.h"
 
 namespace odyssey {
-
-// The resource-management strategies the experiment rig can install: the
-// three compared in §6.2.3 plus the two zoo strategies grown on top
-// (DESIGN.md §16).
-enum class StrategyKind {
-  kOdyssey,            // centralized (the real system)
-  kLaissezFaire,       // per-log isolation
-  kBlindOptimism,      // theoretical bandwidth at transitions
-  kCongestionManager,  // per-server shared congestion state
-  kAdmissionBroker,    // QoS admission control over centralized
-};
-
-const char* StrategyKindName(StrategyKind kind);
 
 // The default test movie and image the workloads use.
 inline constexpr char kDefaultMovie[] = "default";
@@ -53,10 +36,11 @@ inline constexpr Duration kUpcallLatency = 550;  // 0.55 ms
 
 class ExperimentRig {
  public:
-  // Builds the full client stack with the given trial |seed| and
-  // |strategy|.  The link starts at the high bandwidth until a trace is
-  // replayed.
-  ExperimentRig(uint64_t seed, StrategyKind strategy);
+  // Builds the full client stack with the given trial |seed| and the
+  // |strategy| named in StrategyRegistry::Builtin() ("odyssey",
+  // "laissez-faire", "blind-optimism", ...; asserts the name is registered).
+  // The link starts at the high bandwidth until a trace is replayed.
+  ExperimentRig(uint64_t seed, const std::string& strategy);
 
   ExperimentRig(const ExperimentRig&) = delete;
   ExperimentRig& operator=(const ExperimentRig&) = delete;
@@ -73,7 +57,6 @@ class ExperimentRig {
   VideoServer& video_server() { return video_server_; }
   DistillationServer& distillation_server() { return distillation_server_; }
   JanusServer& janus_server() { return janus_server_; }
-  StrategyKind strategy_kind() const { return strategy_kind_; }
 
   // The centralized-family audit surface, if the rig runs one (for share
   // probes in the agility experiments); null otherwise.  For the admission
@@ -84,7 +67,6 @@ class ExperimentRig {
   Simulation sim_;
   Link link_;
   Modulator modulator_;
-  StrategyKind strategy_kind_;
   CentralizedStrategy* centralized_ = nullptr;
   std::unique_ptr<OdysseyClient> client_;
   VideoServer video_server_;

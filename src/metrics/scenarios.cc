@@ -17,6 +17,7 @@
 #include "src/metrics/trial.h"
 #include "src/servers/calibration.h"
 #include "src/servers/file_server.h"
+#include "src/strategies/strategy_registry.h"
 #include "src/trace/trace_macros.h"
 #include "src/trace/trace_recorder.h"
 
@@ -64,11 +65,21 @@ void StartAdaptingWhenEstimated(OdysseyClient* client, AppId app) {
   });
 }
 
+// The ablation rigs' strategy: the paper's centralized one with the swept
+// supply-model |config| in place of the ExperimentRig default.
+std::unique_ptr<BandwidthStrategy> OdysseyWithSupply(Simulation* sim,
+                                                     const SupplyModelConfig& config) {
+  StrategyContext context;
+  context.sim = sim;
+  context.supply = config;
+  return StrategyRegistry::Builtin().Create("odyssey", std::move(context));
+}
+
 }  // namespace
 
 AgilityTrialResult RunSupplyAgilityTrial(Waveform waveform, uint64_t seed,
                                          TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(MakeWaveform(waveform));
@@ -93,7 +104,7 @@ AgilityTrialResult RunSupplyAgilityTrial(Waveform waveform, uint64_t seed,
 
 MobilityTrialResult RunMobilityTrackingTrial(const ReplayTrace& replay, uint64_t seed,
                                              TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   BitstreamApp app(&rig.client(), "bitstream");
   const Time measure = rig.Replay(replay);
@@ -142,7 +153,7 @@ DemandTrialResult RunDemandAgilityTrial(double utilization, uint64_t seed,
   constexpr Duration kSamplePeriod = 100 * kMillisecond;
   constexpr Duration kObservation = 60 * kSecond;
 
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   BitstreamApp first(&rig.client(), "bitstream-1");
   BitstreamApp second(&rig.client(), "bitstream-2");
@@ -178,7 +189,7 @@ DemandTrialResult RunDemandAgilityTrial(double utilization, uint64_t seed,
 
 VideoTrialResult RunVideoTrial(Waveform waveform, int fixed_track, uint64_t seed,
                                TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   VideoPlayerOptions options;
   options.fixed_track = fixed_track;
@@ -197,7 +208,7 @@ VideoTrialResult RunVideoTrial(Waveform waveform, int fixed_track, uint64_t seed
 
 WebTrialResult RunWebTrial(const ReplayTrace& replay, int fixed_level, bool prime,
                            uint64_t seed, TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   WebBrowserOptions options;
   options.fixed_level = fixed_level;
@@ -215,7 +226,7 @@ WebTrialResult RunWebTrial(const ReplayTrace& replay, int fixed_level, bool prim
 
 double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
                              TraceRecorder* trace) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   SpeechFrontEndOptions options;
   options.mode = mode;
@@ -227,7 +238,7 @@ double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
   return frontend.MeanSecondsBetween(measure, measure + kWaveformLength);
 }
 
-ConcurrentTrialResult RunConcurrentTrial(StrategyKind strategy, uint64_t seed,
+ConcurrentTrialResult RunConcurrentTrial(const std::string& strategy, uint64_t seed,
                                          TraceRecorder* trace) {
   ExperimentRig rig(seed, strategy);
   rig.sim().set_trace(trace);
@@ -265,8 +276,8 @@ EstimatorAblationTrialResult RunEstimatorAblationTrial(const SupplyModelConfig& 
   sim.set_trace(trace);
   Link link(&sim, kHighBandwidth, kOneWayLatency);
   Modulator modulator(&sim, &link);
-  auto strategy = std::make_unique<CentralizedStrategy>(&sim, config);
-  CentralizedStrategy* centralized = strategy.get();
+  std::unique_ptr<BandwidthStrategy> strategy = OdysseyWithSupply(&sim, config);
+  CentralizedStrategy* centralized = strategy->audit_surface();
   OdysseyClient client(&sim, &link, std::move(strategy));
   client.InstallWarden(std::make_unique<BitstreamWarden>());
   BitstreamApp app(&client, "bitstream");
@@ -312,7 +323,7 @@ FairshareTrialResult RunFairshareAblationTrial(const SupplyModelConfig& config, 
   sim.set_trace(trace);
   Link link(&sim, kHighBandwidth, kOneWayLatency);
   Modulator modulator(&sim, &link);
-  OdysseyClient client(&sim, &link, std::make_unique<CentralizedStrategy>(&sim, config));
+  OdysseyClient client(&sim, &link, OdysseyWithSupply(&sim, config));
 
   Rng* rng = &sim.rng();
   VideoServer video_server(rng);
@@ -359,7 +370,7 @@ FairshareTrialResult RunFairshareAblationTrial(const SupplyModelConfig& config, 
 FileConsistencyTrialResult RunFileConsistencyTrial(FileConsistency level, uint64_t seed,
                                                    TraceRecorder* trace) {
   constexpr double kKb = 1024.0;
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.sim().set_trace(trace);
   FileServer file_server(&rig.sim().rng());
   CacheManager cache(&rig.client().viceroy(), 1024.0);

@@ -20,6 +20,7 @@
 #define SRC_METRICS_SCENARIOS_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/estimator/supply_model.h"
 #include "src/metrics/experiment.h"
@@ -97,7 +98,7 @@ double RunSpeechTrialSeconds(Waveform waveform, SpeechMode mode, uint64_t seed,
 // --- Figures 13+14: concurrent applications ---
 
 // One concurrent-applications trial: video + web + speech over the
-// 15-minute urban trace under |strategy|.
+// 15-minute urban trace under the StrategyRegistry::Builtin() |strategy|.
 struct ConcurrentTrialResult {
   double video_drops = 0.0;
   double video_fidelity = 0.0;
@@ -106,7 +107,7 @@ struct ConcurrentTrialResult {
   double speech_seconds = 0.0;
 };
 
-ConcurrentTrialResult RunConcurrentTrial(StrategyKind strategy, uint64_t seed,
+ConcurrentTrialResult RunConcurrentTrial(const std::string& strategy, uint64_t seed,
                                          TraceRecorder* trace = nullptr);
 
 // --- Ablation: estimator design choices ---

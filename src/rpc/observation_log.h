@@ -69,20 +69,22 @@ class ObservationLog {
     std::erase(listeners_, listener);
   }
 
-  // The Record calls drop a malformed observation — a negative rtt or
-  // elapsed time, or window bytes that are negative or not finite — before
-  // it is stored or forwarded, and count it in rejected_count().  Such
-  // values come from a broken transport or feed, not from the network, and
-  // listeners would carry them straight into the usage meters and the
-  // supply envelope.  A zero elapsed time is legal: a point delivery.
+  // The Record calls forward each observation to every listener; the log
+  // keeps no history, so its memory does not grow with run length.  They
+  // drop a malformed observation — a negative rtt or elapsed time, or window
+  // bytes that are negative or not finite — before it is forwarded, and
+  // count it in rejected_count().  Such values come from a broken transport
+  // or feed, not from the network, and listeners would carry them straight
+  // into the usage meters and the supply envelope.  A zero elapsed time is
+  // legal: a point delivery.
   void RecordRoundTrip(Time at, Duration rtt) {
     if (rtt < 0) {
       ++rejected_;
       return;
     }
-    round_trips_.push_back(RoundTripObservation{at, rtt});
+    const RoundTripObservation obs{at, rtt};
     for (LogListener* listener : listeners_) {
-      listener->OnRoundTrip(connection_, round_trips_.back());
+      listener->OnRoundTrip(connection_, obs);
     }
   }
 
@@ -91,41 +93,24 @@ class ObservationLog {
       ++rejected_;
       return;
     }
-    throughputs_.push_back(ThroughputObservation{at, window_bytes, elapsed});
+    const ThroughputObservation obs{at, window_bytes, elapsed};
     for (LogListener* listener : listeners_) {
-      listener->OnThroughput(connection_, throughputs_.back());
+      listener->OnThroughput(connection_, obs);
     }
   }
 
   void RecordFailure(Time at, int attempts) {
-    failures_.push_back(FailureObservation{at, attempts});
+    const FailureObservation obs{at, attempts};
     for (LogListener* listener : listeners_) {
-      listener->OnFailure(connection_, failures_.back());
+      listener->OnFailure(connection_, obs);
     }
   }
-
-  const std::vector<RoundTripObservation>& round_trips() const { return round_trips_; }
-  const std::vector<ThroughputObservation>& throughputs() const { return throughputs_; }
-  const std::vector<FailureObservation>& failures() const { return failures_; }
 
   // Malformed observations dropped by the Record calls.
   uint64_t rejected_count() const { return rejected_; }
 
-  // Total bytes covered by throughput entries; used by demand accounting
-  // sanity checks.
-  double TotalBulkBytes() const {
-    double total = 0.0;
-    for (const auto& obs : throughputs_) {
-      total += obs.window_bytes;
-    }
-    return total;
-  }
-
  private:
   ConnectionId connection_;
-  std::vector<RoundTripObservation> round_trips_;
-  std::vector<ThroughputObservation> throughputs_;
-  std::vector<FailureObservation> failures_;
   std::vector<LogListener*> listeners_;
   uint64_t rejected_ = 0;
 };

@@ -25,6 +25,7 @@
 #include "src/net/link.h"
 #include "src/rpc/endpoint.h"
 #include "src/sim/simulation.h"
+#include "tests/recording_listener.h"
 
 namespace odyssey {
 namespace {
@@ -189,6 +190,8 @@ TEST(EndpointRetryTest, DroppedRequestIsRetriedAndSucceeds) {
   FaultInjector injector(&sim, &link);
   injector.Arm(FaultPlan().WithDroppedMessage(1));
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener seen;
+  endpoint.log().AddListener(&seen);
   endpoint.set_retry_policy(ExactPolicy());
   endpoint.set_fault_injector(&injector);
 
@@ -205,7 +208,7 @@ TEST(EndpointRetryTest, DroppedRequestIsRetriedAndSucceeds) {
   EXPECT_EQ(endpoint.retries(), 1u);
   EXPECT_EQ(endpoint.timeouts(), 1u);
   EXPECT_EQ(endpoint.exchanges_failed(), 0u);
-  ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
+  ASSERT_EQ(seen.round_trips.size(), 1u);
 }
 
 TEST(EndpointRetryTest, RetriedCallLogsOnlyItsOwnSpan) {
@@ -217,23 +220,27 @@ TEST(EndpointRetryTest, RetriedCallLogsOnlyItsOwnSpan) {
     Simulation sim;
     Link link(&sim, 120.0 * kKb, 10500);
     Endpoint endpoint(&sim, &link, "server");
+    RecordingListener seen;
+    endpoint.log().AddListener(&seen);
     endpoint.set_retry_policy(ExactPolicy());
     endpoint.Ping(Endpoint::StatusDone());
     sim.Run();
-    ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
-    clean_rtt = endpoint.log().round_trips()[0].rtt;
+    ASSERT_EQ(seen.round_trips.size(), 1u);
+    clean_rtt = seen.round_trips[0].rtt;
   }
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
   FaultInjector injector(&sim, &link);
   injector.Arm(FaultPlan().WithDroppedMessage(1));
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener seen;
+  endpoint.log().AddListener(&seen);
   endpoint.set_retry_policy(ExactPolicy());
   endpoint.set_fault_injector(&injector);
   endpoint.Ping(Endpoint::StatusDone());
   sim.Run();
-  ASSERT_EQ(endpoint.log().round_trips().size(), 1u);
-  EXPECT_EQ(endpoint.log().round_trips()[0].rtt, clean_rtt);
+  ASSERT_EQ(seen.round_trips.size(), 1u);
+  EXPECT_EQ(seen.round_trips[0].rtt, clean_rtt);
 }
 
 TEST(EndpointRetryTest, RetriedWindowLogsOnlyItsOwnSpan) {
@@ -242,23 +249,27 @@ TEST(EndpointRetryTest, RetriedWindowLogsOnlyItsOwnSpan) {
     Simulation sim;
     Link link(&sim, 120.0 * kKb, 10500);
     Endpoint endpoint(&sim, &link, "server");
+    RecordingListener seen;
+    endpoint.log().AddListener(&seen);
     endpoint.set_retry_policy(ExactPolicy());
     endpoint.FetchWindow(4.0 * kKb, Endpoint::StatusDone());
     sim.Run();
-    ASSERT_EQ(endpoint.log().throughputs().size(), 1u);
-    clean_elapsed = endpoint.log().throughputs()[0].elapsed;
+    ASSERT_EQ(seen.throughputs.size(), 1u);
+    clean_elapsed = seen.throughputs[0].elapsed;
   }
   Simulation sim;
   Link link(&sim, 120.0 * kKb, 10500);
   FaultInjector injector(&sim, &link);
   injector.Arm(FaultPlan().WithDroppedMessage(1));
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener seen;
+  endpoint.log().AddListener(&seen);
   endpoint.set_retry_policy(ExactPolicy());
   endpoint.set_fault_injector(&injector);
   endpoint.FetchWindow(4.0 * kKb, Endpoint::StatusDone());
   sim.Run();
-  ASSERT_EQ(endpoint.log().throughputs().size(), 1u);
-  EXPECT_EQ(endpoint.log().throughputs()[0].elapsed, clean_elapsed);
+  ASSERT_EQ(seen.throughputs.size(), 1u);
+  EXPECT_EQ(seen.throughputs[0].elapsed, clean_elapsed);
 }
 
 TEST(EndpointRetryTest, TotalLossFailsAfterBoundedRetries) {
@@ -269,6 +280,8 @@ TEST(EndpointRetryTest, TotalLossFailsAfterBoundedRetries) {
   FaultInjector injector(&sim, &link);
   injector.Arm(FaultPlan().WithDropProbability(1.0));
   Endpoint endpoint(&sim, &link, "server");
+  RecordingListener seen;
+  endpoint.log().AddListener(&seen);
   const RetryPolicy policy = ExactPolicy();
   endpoint.set_retry_policy(policy);
   endpoint.set_fault_injector(&injector);
@@ -286,10 +299,10 @@ TEST(EndpointRetryTest, TotalLossFailsAfterBoundedRetries) {
   // The control exchange consumed the whole attempt budget and no more.
   EXPECT_EQ(endpoint.retries(), static_cast<uint64_t>(policy.max_attempts - 1));
   EXPECT_EQ(endpoint.exchanges_failed(), 1u);
-  ASSERT_EQ(endpoint.log().failures().size(), 1u);
-  EXPECT_EQ(endpoint.log().failures()[0].attempts, policy.max_attempts);
-  EXPECT_TRUE(endpoint.log().round_trips().empty());
-  EXPECT_TRUE(endpoint.log().throughputs().empty());
+  ASSERT_EQ(seen.failures.size(), 1u);
+  EXPECT_EQ(seen.failures[0].attempts, policy.max_attempts);
+  EXPECT_TRUE(seen.round_trips.empty());
+  EXPECT_TRUE(seen.throughputs.empty());
 }
 
 TEST(EndpointRetryTest, DisabledPolicyNeverTimesOutOrRetries) {
@@ -425,7 +438,7 @@ struct ScenarioResult {
 };
 
 ScenarioResult RunScenario(FaultKind kind, Workload workload, uint64_t seed) {
-  ExperimentRig rig(seed, StrategyKind::kOdyssey);
+  ExperimentRig rig(seed, "odyssey");
   rig.client().set_retry_policy(RetryPolicy::Default());
   FaultInjector injector(&rig.sim(), &rig.link());
   rig.client().set_fault_injector(&injector);
@@ -579,7 +592,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- End-to-end total loss through the full stack ------------------------
 
 TEST(TotalLossTest, WebBrowserDegradesInsteadOfHanging) {
-  ExperimentRig rig(1, StrategyKind::kOdyssey);
+  ExperimentRig rig(1, "odyssey");
   rig.client().set_retry_policy(RetryPolicy::Default());
   FaultInjector injector(&rig.sim(), &rig.link());
   rig.client().set_fault_injector(&injector);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/fleet/fleet_dispatcher.h"
 #include "src/fleet/fleet_fuzz.h"
 #include "src/fleet/fleet_message.h"
+#include "src/fleet/fleet_node.h"
 #include "src/fleet/fleet_oracle.h"
 #include "src/fleet/fleet_supply_model.h"
 #include "src/net/fault_injector.h"
@@ -139,6 +141,115 @@ TEST(FleetAggregatorTest, StalenessWeightingIsMonotone) {
   ASSERT_TRUE(view.valid);
   EXPECT_DOUBLE_EQ(view.supply_bps, 200.0 * 1024.0);
   EXPECT_EQ(view.reporting, 1);
+}
+
+// One malformed estimate from one peer must not poison a server's merge: a
+// NaN supply would turn the weighted sum NaN while the view still reported
+// `valid`, and FleetSupplyModel's clamp would then silently fall back to the
+// local estimate.  The aggregator drops such a report, so the view equals
+// the finite merge of the other reports.
+TEST(FleetAggregatorTest, NanEstimateLeavesTheFiniteMerge) {
+  Simulation sim(1);
+  FleetDispatcher dispatcher(&sim);
+  FleetAggregator clean(&sim, &dispatcher, /*self=*/100, /*seed=*/7);
+  FleetAggregator poisoned(&sim, &dispatcher, /*self=*/100, /*seed=*/7);
+  for (FleetAggregator* agg : {&clean, &poisoned}) {
+    agg->OnMessage(Estimate(1, 0, 1, 100 * kMillisecond, 64000.0, 1));
+    agg->OnMessage(Estimate(2, 0, 1, 200 * kMillisecond, 96000.0, 2));
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  poisoned.OnMessage(Estimate(3, 0, 1, 300 * kMillisecond, nan, 1));
+  // A higher-seq NaN report must not displace an origin's finite one either.
+  poisoned.OnMessage(Estimate(1, 0, 2, 300 * kMillisecond, nan, 1));
+
+  const Time now = 500 * kMillisecond;
+  const FleetAggregator::ServerView want = clean.ViewOf(0, now);
+  const FleetAggregator::ServerView got = poisoned.ViewOf(0, now);
+  ASSERT_TRUE(want.valid);
+  EXPECT_EQ(got.valid, want.valid);
+  EXPECT_EQ(got.supply_bps, want.supply_bps);
+  EXPECT_EQ(got.active_clients, want.active_clients);
+  EXPECT_EQ(got.reporting, want.reporting);
+}
+
+TEST(FleetAggregatorTest, RejectsEveryMalformedFieldAndCountsIt) {
+  Simulation sim(1);
+  FleetDispatcher dispatcher(&sim);
+  FleetAggregator clean(&sim, &dispatcher, /*self=*/100, /*seed=*/7);
+  FleetAggregator checked(&sim, &dispatcher, /*self=*/100, /*seed=*/7);
+  for (FleetAggregator* agg : {&clean, &checked}) {
+    agg->OnMessage(Estimate(1, 0, 1, 100 * kMillisecond, 64000.0, 1));
+  }
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<FleetMessage> malformed;
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    FleetMessage supply = Estimate(2, 0, 1, 200 * kMillisecond, 64000.0, 1);
+    supply.supply_bps = bad;
+    malformed.push_back(supply);
+    FleetMessage usage = Estimate(2, 0, 1, 200 * kMillisecond, 64000.0, 1);
+    usage.usage_bps = bad;
+    malformed.push_back(usage);
+  }
+  malformed.push_back(Estimate(2, 0, 1, 200 * kMillisecond, 64000.0, -1));
+  FleetMessage unknown = Estimate(2, 1, 1, 200 * kMillisecond, 64000.0, 1);
+  unknown.kind = static_cast<FleetMessageKind>(7);
+  malformed.push_back(unknown);
+  for (const FleetMessage& message : malformed) {
+    checked.OnMessage(message);
+  }
+  EXPECT_EQ(checked.rejected_count(), malformed.size());
+  EXPECT_EQ(clean.rejected_count(), 0u);
+
+  // A dropped message leaves no state: not a report, not a membership.
+  const Time now = 500 * kMillisecond;
+  for (const FleetServerId server : {FleetServerId{0}, FleetServerId{1}}) {
+    EXPECT_EQ(checked.ViewOf(server, now).valid, clean.ViewOf(server, now).valid);
+    EXPECT_EQ(checked.ViewOf(server, now).supply_bps, clean.ViewOf(server, now).supply_bps);
+    EXPECT_EQ(checked.ViewOf(server, now).reporting, clean.ViewOf(server, now).reporting);
+    EXPECT_EQ(checked.PeersFor(server), clean.PeersFor(server));
+  }
+
+  // Zero supply, usage and active are legal, as is a bare announce.
+  checked.OnMessage(Estimate(3, 0, 1, 300 * kMillisecond, 0.0, 0));
+  FleetMessage hello = Estimate(4, 0, 1, 300 * kMillisecond, 0.0, 0);
+  hello.kind = FleetMessageKind::kAnnounce;
+  checked.OnMessage(hello);
+  EXPECT_EQ(checked.rejected_count(), malformed.size());
+  EXPECT_EQ(checked.ViewOf(0, now).reporting, 2);
+  EXPECT_EQ(checked.PeersFor(0), (std::vector<FleetNodeId>{1, 3, 4}));
+}
+
+// ---------------------------------------------------------------------------
+// Service -> server-group mapping.
+
+// Pins the mapping both fleet rigs share.  The warden service names are the
+// ones the fuzz runner's nodes open (FNV-1a 64 of the name, mod the group
+// count); "fleet-s<k>" is the campaign rig's explicit name (k mod count).
+TEST(ServerGroupOfTest, PinsWardenServicesAndExplicitGroups) {
+  struct Pin {
+    const char* service;
+    FleetServerId groups[5];  // for 1, 2, 3, 5 and 8 server groups
+  };
+  const Pin pins[] = {
+      {"video:default", {0, 1, 1, 3, 1}},
+      {"distillation", {0, 1, 1, 2, 7}},
+      {"janus", {0, 0, 2, 1, 4}},
+      {"bitstream", {0, 0, 2, 4, 6}},
+      {"file-server", {0, 1, 0, 1, 3}},
+      {"telemetry:feed0", {0, 0, 0, 3, 0}},
+      {"fleet-s0", {0, 0, 0, 0, 0}},
+      {"fleet-s1", {0, 1, 1, 1, 1}},
+      {"fleet-s7", {0, 1, 1, 2, 7}},
+  };
+  const int counts[] = {1, 2, 3, 5, 8};
+  for (const Pin& pin : pins) {
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(ServerGroupOf(pin.service, counts[i]), pin.groups[i])
+          << pin.service << " over " << counts[i] << " groups";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ class EstimatorConvergence : public ::testing::TestWithParam<double> {};
 
 TEST_P(EstimatorConvergence, BitstreamDrivesEstimateToLinkRate) {
   const double rate = GetParam();
-  ExperimentRig rig(3, StrategyKind::kOdyssey);
+  ExperimentRig rig(3, "odyssey");
   BitstreamApp app(&rig.client(), "bitstream");
   rig.Replay(MakeConstant(rate, 2 * kMinute), /*prime=*/false);
   app.Start();
@@ -299,7 +299,7 @@ class VideoSustainability : public ::testing::TestWithParam<std::tuple<int, doub
 TEST_P(VideoSustainability, TrackWithinBudgetPlaysCleanly) {
   const int track = std::get<0>(GetParam());
   const double headroom = std::get<1>(GetParam());
-  ExperimentRig rig(4, StrategyKind::kOdyssey);
+  ExperimentRig rig(4, "odyssey");
 
   // Give the link exactly the track's requirement times the headroom.
   MovieMeta movie = VideoServer::MakeDefaultMovie("m", 300);
@@ -367,7 +367,7 @@ class StackDeterminism : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StackDeterminism, IdenticalSeedsIdenticalEstimates) {
   const auto run = [&](uint64_t seed) {
-    ExperimentRig rig(seed, StrategyKind::kOdyssey);
+    ExperimentRig rig(seed, "odyssey");
     BitstreamApp app(&rig.client(), "bitstream");
     rig.Replay(MakeStepDown());
     app.Start();
