@@ -1,8 +1,10 @@
 #include "src/check/fuzz_driver.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
+#include "src/core/contract.h"
 #include "src/core/tsop_codec.h"
 #include "src/core/warden.h"
 #include "src/metrics/experiment.h"
@@ -17,12 +19,29 @@
 
 namespace odyssey {
 
-ReplayTrace BuildTrace(const FuzzScenario& scenario) {
-  ReplayTrace trace;
-  for (const FuzzSegment& segment : scenario.segments) {
-    trace.Append(segment.duration, segment.bandwidth_bps, segment.latency);
+FuzzServerFarm::FuzzServerFarm(Simulation* sim)
+    : video_(&sim->rng()),
+      distillation_(&sim->rng()),
+      janus_(&sim->rng()),
+      file_(&sim->rng()),
+      telemetry_(sim) {
+  const Status added =
+      video_.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
+  ODY_ASSERT(added.ok(), "fuzz rig failed to seed the video catalog");
+  distillation_.PublishImage(kTestImageUrl, kWebImageBytes);
+  for (int i = 0; i < kFuzzFiles; ++i) {
+    file_.Publish("doc/" + std::to_string(i), (8.0 + 16.0 * i) * 1024.0);
   }
-  return trace;
+  telemetry_.CreateFeed(kFuzzFeed, 200 * kMillisecond, 100.0, 5.0);
+}
+
+void FuzzServerFarm::InstallWardens(OdysseyClient* client) {
+  client->InstallWarden(std::make_unique<VideoWarden>(&video_));
+  client->InstallWarden(std::make_unique<WebWarden>(&distillation_));
+  client->InstallWarden(std::make_unique<SpeechWarden>(&janus_));
+  client->InstallWarden(std::make_unique<BitstreamWarden>());
+  client->InstallWarden(std::make_unique<FileWarden>(&file_));
+  client->InstallWarden(std::make_unique<TelemetryWarden>(&telemetry_));
 }
 
 FaultPlan BuildFaultPlan(const FuzzScenario& scenario) {

@@ -18,7 +18,12 @@
 #include "src/check/oracles.h"
 #include "src/core/odyssey_client.h"
 #include "src/net/fault_injector.h"
-#include "src/tracemod/replay_trace.h"
+#include "src/servers/distillation_server.h"
+#include "src/servers/file_server.h"
+#include "src/servers/janus_server.h"
+#include "src/servers/telemetry_server.h"
+#include "src/servers/video_server.h"
+#include "src/sim/simulation.h"
 
 namespace odyssey {
 
@@ -26,8 +31,23 @@ namespace odyssey {
 inline constexpr int kFuzzFiles = 4;
 inline constexpr char kFuzzFeed[] = "feed0";
 
-// The scenario's waveform as a replayable modulator trace.
-ReplayTrace BuildTrace(const FuzzScenario& scenario);
+// The servers behind every fuzz rig's wardens (one farm serves all nodes of
+// a fleet rig), publishing the catalog the scenario's ops address.  The
+// constructor draws from |sim|'s random stream.
+class FuzzServerFarm {
+ public:
+  explicit FuzzServerFarm(Simulation* sim);
+
+  // Installs the six wardens, one per FuzzWardenKind, over these servers.
+  void InstallWardens(OdysseyClient* client);
+
+ private:
+  VideoServer video_;
+  DistillationServer distillation_;
+  JanusServer janus_;
+  FileServer file_;
+  TelemetryServer telemetry_;
+};
 
 // The scenario's fault list as an armable plan.  The injector's
 // probabilistic stream is rooted in the scenario seed but decoupled from

@@ -6,23 +6,12 @@
 #include <vector>
 
 #include "src/check/fuzz_driver.h"
-#include "src/core/contract.h"
 #include "src/core/odyssey_client.h"
 #include "src/metrics/experiment.h"
 #include "src/net/fault_injector.h"
 #include "src/net/modulator.h"
-#include "src/servers/calibration.h"
-#include "src/servers/file_server.h"
-#include "src/servers/telemetry_server.h"
 #include "src/strategies/centralized.h"
 #include "src/strategies/strategy_registry.h"
-#include "src/tracemod/replay_trace.h"
-#include "src/wardens/bitstream_warden.h"
-#include "src/wardens/file_warden.h"
-#include "src/wardens/speech_warden.h"
-#include "src/wardens/telemetry_warden.h"
-#include "src/wardens/video_warden.h"
-#include "src/wardens/web_warden.h"
 
 namespace odyssey {
 namespace {
@@ -86,19 +75,7 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   Modulator modulator(&sim, &link);
   FaultInjector injector(&sim, &link);
 
-  VideoServer video_server(&sim.rng());
-  const Status added =
-      video_server.AddMovie(VideoServer::MakeDefaultMovie(kDefaultMovie, kVideoFramesPerTrial));
-  ODY_ASSERT(added.ok(), "fuzz rig failed to seed the video catalog");
-  DistillationServer distillation_server(&sim.rng());
-  distillation_server.PublishImage(kTestImageUrl, kWebImageBytes);
-  JanusServer janus_server(&sim.rng());
-  FileServer file_server(&sim.rng());
-  for (int i = 0; i < kFuzzFiles; ++i) {
-    file_server.Publish("doc/" + std::to_string(i), (8.0 + 16.0 * i) * 1024.0);
-  }
-  TelemetryServer telemetry_server(&sim);
-  telemetry_server.CreateFeed(kFuzzFeed, 200 * kMillisecond, 100.0, 5.0);
+  FuzzServerFarm servers(&sim);
 
   // The strategy comes from the registry so the fuzz dimension and the
   // conformance kit cover exactly what production scenarios can select.
@@ -118,54 +95,24 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   if (options.reference_stack) {
     client.viceroy().set_reevaluate_mode(ReevaluateMode::kFullScan);
   }
-  client.InstallWarden(std::make_unique<VideoWarden>(&video_server));
-  client.InstallWarden(std::make_unique<WebWarden>(&distillation_server));
-  client.InstallWarden(std::make_unique<SpeechWarden>(&janus_server));
-  client.InstallWarden(std::make_unique<BitstreamWarden>());
-  client.InstallWarden(std::make_unique<FileWarden>(&file_server));
-  client.InstallWarden(std::make_unique<TelemetryWarden>(&telemetry_server));
+  servers.InstallWardens(&client);
   client.set_retry_policy(RetryPolicy::Default());
   client.set_fault_injector(&injector);
   injector.Arm(BuildFaultPlan(scenario));
 
   OracleSet oracle(scenario, &sim, &client.viceroy(), strategy_ptr, &link);
   oracle.set_max_audited_connections(options.max_audited_connections);
-  client.viceroy().upcalls().set_delivery_observer(
-      [&oracle, &result, &options, &sim](AppId app, uint64_t seq, RequestId request,
-                                         ResourceId resource, double level, Time posted_at) {
+  const OracleArming arming(
+      &sim, {{&client.viceroy(), &oracle}},
+      SeededDefects{options.selftest_mutation, options.selftest_tiebreak},
+      [&result, &options, &sim](AppId app, uint64_t seq, RequestId request, ResourceId resource,
+                                double level, Time posted_at) {
         ++result.upcalls_delivered;
         if (options.differential != nullptr) {
           options.differential->upcalls.push_back(
               UpcallRecord{app, seq, request, resource, level, posted_at, sim.now()});
         }
-        oracle.OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-#ifdef ODYSSEY_FUZZ_SELFTEST
-        if (options.selftest_mutation && seq == 2) {
-          // Intentionally seeded defect: the second upcall of every app is
-          // observed twice, as if the dispatcher had delivered a duplicate.
-          // The upcall-duplicate oracle must catch it and the shrinker must
-          // reduce the scenario around it (CI's fuzz-selftest job).
-          oracle.OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-        }
-#else
-        (void)options;
-#endif
       });
-  // The oracle outlives every event (both observers are detached below,
-  // before the stack unwinds).
-  sim.set_step_observer([&oracle](Time when) { oracle.OnStep(when); });  // ody_lint: owned-capture
-  // ody_lint: owned-capture
-  sim.set_tie_observer([&oracle](Time when, uint64_t prev_seq, uint64_t seq) {
-    oracle.OnTieBreak(when, prev_seq, seq);
-  });
-#ifdef ODYSSEY_FUZZ_SELFTEST
-  if (options.selftest_tiebreak) {
-    // Intentionally seeded defect: the queue pops same-timestamp ties
-    // newest-first instead of in scheduling order.  The same-time-order
-    // oracle must catch it (CI's fuzz-selftest job).
-    sim.set_selftest_lifo_ties(true);
-  }
-#endif
 
   const Time end = scenario.horizon + options.drain_grace;
   Sampler sampler{&sim,           &oracle, strategy_ptr,         strategy_base,
@@ -190,12 +137,6 @@ FuzzRunResult RunFuzzScenario(const FuzzScenario& scenario, const FuzzRunOptions
   }
   sim.RunUntil(end);
   oracle.Finish();
-
-  // Detach the observers before the stack unwinds: the oracle borrows the
-  // viceroy and link, and no event may fire past this point anyway.
-  client.viceroy().upcalls().set_delivery_observer({});
-  sim.set_step_observer({});
-  sim.set_tie_observer({});
 
   result.violations = oracle.violations();
   result.violation_count = oracle.violation_count();

@@ -286,15 +286,18 @@ FuzzScenario GenerateScenario(uint64_t seed, const ScenarioOptions& options) {
   return scenario;
 }
 
-double IntegrateCapacityBytes(const FuzzScenario& scenario, Time until) {
-  // One audited integration path: the FuzzSegments mirror TraceSegments, so
-  // the bound is exactly ReplayTrace::IntegralBytes over the same waveform
-  // (identical arithmetic, byte-identical results).
-  ReplayTrace waveform;
+ReplayTrace BuildTrace(const FuzzScenario& scenario) {
+  ReplayTrace trace;
   for (const FuzzSegment& segment : scenario.segments) {
-    waveform.Append(segment.duration, segment.bandwidth_bps, segment.latency);
+    trace.Append(segment.duration, segment.bandwidth_bps, segment.latency);
   }
-  return waveform.IntegralBytes(until);
+  return trace;
+}
+
+double IntegrateCapacityBytes(const FuzzScenario& scenario, Time until) {
+  // One audited integration path: ReplayTrace::IntegralBytes over the
+  // scenario's own trace.
+  return BuildTrace(scenario).IntegralBytes(until);
 }
 
 }  // namespace odyssey

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/sim/time.h"
+#include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
 
@@ -163,6 +164,10 @@ struct ScenarioOptions {
 // for more than a few seconds at a time.
 FuzzScenario GenerateScenario(uint64_t seed);
 FuzzScenario GenerateScenario(uint64_t seed, const ScenarioOptions& options);
+
+// The scenario's waveform as a replayable modulator trace: the one
+// FuzzScenario -> ReplayTrace conversion.
+ReplayTrace BuildTrace(const FuzzScenario& scenario);
 
 // Upper bound on bytes the link can deliver by |until|: the integral of the
 // nominal waveform (the final segment persists past the end of the trace,

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/core/contract.h"
 #include "src/estimator/supply_model.h"
 
 namespace odyssey {
@@ -30,7 +31,11 @@ std::string FormatViolations(const std::vector<FuzzViolation>& violations) {
 
 OracleSet::OracleSet(const FuzzScenario& scenario, Simulation* sim, Viceroy* viceroy,
                      CentralizedStrategy* strategy, Link* link)
-    : scenario_(scenario), sim_(sim), viceroy_(viceroy), strategy_(strategy), link_(link) {}
+    : capacity_(BuildTrace(scenario)),
+      sim_(sim),
+      viceroy_(viceroy),
+      strategy_(strategy),
+      link_(link) {}
 
 void OracleSet::Report(const std::string& oracle, AppId app, std::string detail) {
   ++total_violations_;
@@ -163,7 +168,7 @@ void OracleSet::Sample() {
     Report("byte-conservation", 0, detail.str());
   }
   last_bytes_delivered_ = bytes;
-  const double bound = IntegrateCapacityBytes(scenario_, now) * 1.01 + 8192.0;
+  const double bound = capacity_.IntegralBytes(now) * 1.01 + 8192.0;
   if (bytes > bound) {
     std::ostringstream detail;
     detail << "delivered " << bytes << " bytes > nominal capacity integral " << bound;
@@ -248,6 +253,47 @@ void OracleSet::Finish() {
     detail << queued << " upcalls still queued after drain";
     Report("upcall-stranded", 0, detail.str());
   }
+}
+
+OracleArming::OracleArming(Simulation* sim, std::vector<Node> nodes, SeededDefects defects,
+                           UpcallDispatcher::DeliveryObserver tap)
+    : sim_(sim), nodes_(std::move(nodes)), tap_(std::move(tap)) {
+  ODY_ASSERT(!nodes_.empty(), "oracle arming needs at least one node");
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    OracleSet* oracle = nodes_[i].oracle;
+    const bool duplicate = defects.duplicate_delivery && i == 0;
+    nodes_[i].viceroy->upcalls().set_delivery_observer(
+        [this, oracle, duplicate](AppId app, uint64_t seq, RequestId request, ResourceId resource,
+                                  double level, Time posted_at) {
+          if (tap_) {
+            tap_(app, seq, request, resource, level, posted_at);
+          }
+          oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+#ifdef ODYSSEY_FUZZ_SELFTEST
+          if (duplicate && seq == 2) {
+            oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
+          }
+#else
+          (void)duplicate;
+#endif
+        });
+  }
+  OracleSet* lead = nodes_.front().oracle;
+  sim_->set_step_observer([lead](Time when) { lead->OnStep(when); });
+  sim_->set_tie_observer([lead](Time when, uint64_t prev_seq, uint64_t seq) {
+    lead->OnTieBreak(when, prev_seq, seq);
+  });
+#ifdef ODYSSEY_FUZZ_SELFTEST
+  sim_->set_selftest_lifo_ties(defects.lifo_ties);
+#endif
+}
+
+OracleArming::~OracleArming() {
+  for (const Node& node : nodes_) {
+    node.viceroy->upcalls().set_delivery_observer({});
+  }
+  sim_->set_step_observer({});
+  sim_->set_tie_observer({});
 }
 
 }  // namespace odyssey

@@ -49,6 +49,7 @@
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 #include "src/strategies/centralized.h"
+#include "src/tracemod/replay_trace.h"
 
 namespace odyssey {
 
@@ -71,7 +72,7 @@ class OracleSet {
 
   // Audits the stack owned by the runner.  All pointers are borrowed and
   // must outlive the oracle set.  |scenario| supplies the nominal waveform
-  // for the byte-conservation bound.  |strategy| may be null (fleet nodes
+  // for the byte-conservation bound (copied).  |strategy| may be null (fleet nodes
   // running laissez-faire or blind optimism); the supply/fair-share audits
   // are skipped and the strategy-independent oracles still run.
   OracleSet(const FuzzScenario& scenario, Simulation* sim, Viceroy* viceroy,
@@ -80,7 +81,7 @@ class OracleSet {
   OracleSet(const OracleSet&) = delete;
   OracleSet& operator=(const OracleSet&) = delete;
 
-  // --- Hooks wired by the runner ---
+  // --- Hooks wired by OracleArming ---
 
   // From UpcallDispatcher's delivery observer.
   void OnUpcallDelivered(AppId app, uint64_t seq, RequestId request, ResourceId resource,
@@ -126,7 +127,7 @@ class OracleSet {
 
   void Report(const std::string& oracle, AppId app, std::string detail);
 
-  const FuzzScenario& scenario_;
+  const ReplayTrace capacity_;  // the nominal waveform, for byte conservation
   Simulation* sim_;
   Viceroy* viceroy_;
   CentralizedStrategy* strategy_;
@@ -144,6 +145,42 @@ class OracleSet {
   std::vector<FuzzViolation> violations_;
   std::map<std::string, uint64_t> per_oracle_count_;
   uint64_t total_violations_ = 0;
+};
+
+// The seeded defects of an ODYSSEY_FUZZ_SELFTEST build (FuzzRunOptions'
+// selftest flags), with which CI proves the oracles and the shrinker end to
+// end.  Inert when not compiled in.
+struct SeededDefects {
+  bool duplicate_delivery = false;  // node 0's second upcall per app is observed twice
+  bool lifo_ties = false;           // same-timestamp events pop newest-first
+};
+
+// Arms oracle sets on a rig for the arming's lifetime: the one place the
+// dispatchers' delivery observers and the simulation's step and tie
+// observers are set.  Each node's viceroy feeds its own oracle; the
+// simulation-global step and tie observers feed the lead (first) node's.
+// The destructor detaches all three, so an arming declared after the
+// viceroys and oracles it borrows never outlives them.  Arming only
+// attaches: the rig still calls Sample(), the window hooks and Finish().
+class OracleArming {
+ public:
+  struct Node {
+    Viceroy* viceroy = nullptr;
+    OracleSet* oracle = nullptr;
+  };
+
+  // |tap|, when set, sees every delivery on any node before its oracle does.
+  OracleArming(Simulation* sim, std::vector<Node> nodes, SeededDefects defects = {},
+               UpcallDispatcher::DeliveryObserver tap = {});
+  ~OracleArming();
+
+  OracleArming(const OracleArming&) = delete;
+  OracleArming& operator=(const OracleArming&) = delete;
+
+ private:
+  Simulation* sim_;
+  std::vector<Node> nodes_;
+  UpcallDispatcher::DeliveryObserver tap_;
 };
 
 }  // namespace odyssey

@@ -90,22 +90,11 @@ class ScaleRig {
   TrialMetrics Run() {
     const auto wall_start = std::chrono::steady_clock::now();
     Build();
-    viceroy_.upcalls().set_delivery_observer(
-        [this](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
-               Time posted_at) {
-          oracle_->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-        });
-    sim_.set_step_observer([this](Time when) { oracle_->OnStep(when); });
-    sim_.set_tie_observer([this](Time when, uint64_t prev_seq, uint64_t seq) {
-      oracle_->OnTieBreak(when, prev_seq, seq);
-    });
+    const OracleArming arming(&sim_, {{&viceroy_, oracle_.get()}});
     sim_.Post(params_.feed_period, [this] { Feed(); });
     sim_.Post(kOraclePeriod, [this] { SampleOracle(); });
     sim_.Post(kCancelSweepPeriod, [this] { CancelSweep(); });
     sim_.RunUntil(params_.horizon + kDrainGrace);
-    sim_.set_step_observer({});
-    sim_.set_tie_observer({});
-    viceroy_.upcalls().set_delivery_observer({});
     oracle_->Finish();
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
     return Metrics(wall.count());

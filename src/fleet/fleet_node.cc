@@ -1,6 +1,9 @@
 #include "src/fleet/fleet_node.h"
 
+#include <charconv>
 #include <cstdint>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -11,10 +14,15 @@
 namespace odyssey {
 
 FleetServerId ServerGroupOf(const std::string& service, int servers) {
-  constexpr char kPrefix[] = "fleet-s";
-  if (service.rfind(kPrefix, 0) == 0) {
-    return static_cast<FleetServerId>(
-        std::stoul(service.substr(sizeof(kPrefix) - 1)) % static_cast<unsigned long>(servers));
+  constexpr std::string_view kPrefix = "fleet-s";
+  if (service.starts_with(kPrefix)) {
+    // The whole suffix must be digits that fit; an empty one fails too.
+    const char* end = service.data() + service.size();
+    uint64_t group = 0;
+    const auto [ptr, ec] = std::from_chars(service.data() + kPrefix.size(), end, group);
+    if (ec == std::errc() && ptr == end) {
+      return static_cast<FleetServerId>(group % static_cast<uint64_t>(servers));
+    }
   }
   uint64_t h = 1469598103934665603ULL;
   for (const char c : service) {
@@ -67,6 +75,54 @@ void BuildFleetNodeClient(FleetNode* node, Simulation* sim, const std::string& s
     }
     return reports;
   });
+}
+
+void RegisterFleetNodes(FleetDispatcher* dispatcher, const FleetNodes& nodes) {
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    FleetAggregator* aggregator = nodes[i]->aggregator.get();
+    dispatcher->RegisterNode(
+        static_cast<FleetNodeId>(i), &nodes[i]->waveform, nodes[i]->injector.get(),
+        [aggregator](const FleetMessage& message) { aggregator->OnMessage(message); });
+  }
+}
+
+std::vector<FleetOracleSet::NodeBinding> FleetOracleBindings(const FleetNodes& nodes) {
+  std::vector<FleetOracleSet::NodeBinding> bindings;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    bindings.push_back(FleetOracleSet::NodeBinding{static_cast<FleetNodeId>(i), nodes[i]->model,
+                                                   nodes[i]->aggregator.get()});
+  }
+  return bindings;
+}
+
+std::vector<OracleArming::Node> FleetArmingNodes(const FleetNodes& nodes) {
+  std::vector<OracleArming::Node> armed;
+  for (const auto& node : nodes) {
+    armed.push_back(OracleArming::Node{&node->client->viceroy(), node->oracle.get()});
+  }
+  return armed;
+}
+
+void StartFleetNodes(const FleetNodes& nodes, Time horizon) {
+  for (const auto& node : nodes) {
+    node->modulator->Replay(node->waveform);
+    node->aggregator->StopAt(horizon);
+    node->aggregator->Start();
+  }
+}
+
+bool FleetQuiescentTail(const FleetNodes& nodes, Time horizon, Time end) {
+  // Longer than the fuzz generator's longest outage (kMaxOutage = 3 s) plus
+  // a couple of announce rounds, so every node rebroadcasts at least once
+  // after the last fault.
+  constexpr Duration kConvergenceTail = 4 * kSecond;
+  const Time tail_start = horizon - kConvergenceTail;
+  bool quiescent = tail_start > 0;
+  for (const auto& node : nodes) {
+    quiescent = quiescent && FaultPlanQuietAfter(node->plan, tail_start) &&
+                WaveformLiveThroughout(node->waveform, tail_start, end);
+  }
+  return quiescent;
 }
 
 }  // namespace odyssey

@@ -69,7 +69,7 @@ void FleetOracleSet::Sample() {
   }
 }
 
-void FleetOracleSet::Finish(bool check_convergence, double tolerance) {
+void FleetOracleSet::Finish(bool check_convergence) {
   Sample();
   const Time now = sim_->now();
   for (int s = 0; s < servers_; ++s) {
@@ -98,7 +98,7 @@ void FleetOracleSet::Finish(bool check_convergence, double tolerance) {
     }
     const double spread = (hi - lo) / hi;
     final_spread_pct_ = std::max(final_spread_pct_, spread * 100.0);
-    if (check_convergence && spread > tolerance) {
+    if (check_convergence && spread > kConvergenceTolerance) {
       std::ostringstream detail;
       detail << "server " << s << " views diverge after quiescent tail: min " << lo << " max "
              << hi << " spread " << spread * 100.0 << "% over " << valid << " nodes";

@@ -46,10 +46,13 @@ class FleetOracleSet {
   // Periodic audit: per-server share bounds on every node's current view.
   void Sample();
 
+  // The relative per-server view spread fleet-convergence allows.
+  static constexpr double kConvergenceTolerance = 0.01;
+
   // Final audit.  |check_convergence| only when the run guaranteed a
   // fault-free tail long enough for announce rounds to flush (see
-  // FleetQuiescentTail); |tolerance| is the allowed relative spread.
-  void Finish(bool check_convergence, double tolerance);
+  // FleetQuiescentTail in fleet_node.h).
+  void Finish(bool check_convergence);
 
   // Largest relative per-server view spread seen at Finish, percent (0 when
   // fewer than two nodes held valid views).

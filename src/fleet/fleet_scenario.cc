@@ -20,7 +20,6 @@
 #include "src/fleet/fleet_dispatcher.h"
 #include "src/fleet/fleet_node.h"
 #include "src/fleet/fleet_oracle.h"
-#include "src/fleet/fleet_supply_model.h"
 #include "src/mobility/waveform_source.h"
 #include "src/net/fault_injector.h"
 #include "src/net/link.h"
@@ -46,10 +45,6 @@ constexpr Duration kFairnessPeriod = 500 * kMillisecond;
 constexpr Duration kOraclePeriod = 100 * kMillisecond;
 constexpr Duration kDrainGrace = 2 * kSecond;
 constexpr Duration kReadPeriod = 1 * kSecond;
-// The convergence tail: no fault may touch a fleet message after
-// horizon - kConvergenceTail (matches the fleet fuzz runner's constant).
-constexpr Duration kConvergenceTail = 4 * kSecond;
-constexpr double kConvergenceTolerance = 0.01;
 
 struct FleetParams {
   int nodes = 2;
@@ -86,10 +81,8 @@ ReplayTrace NodeWaveform(const FleetParams& params, uint64_t seed, int node) {
 // The FuzzScenario handed to each node's OracleSet: segments mirror the
 // node's waveform so the byte-conservation bound is the true capacity
 // integral of that node's link.
-FuzzScenario MirrorScenario(const ReplayTrace& waveform, Duration horizon, uint64_t seed) {
+FuzzScenario MirrorScenario(const ReplayTrace& waveform) {
   FuzzScenario scenario;
-  scenario.seed = seed;
-  scenario.horizon = horizon;
   for (const TraceSegment& segment : waveform.segments()) {
     scenario.segments.push_back(FuzzSegment{segment.duration, segment.bandwidth_bps, segment.latency});
   }
@@ -104,8 +97,8 @@ struct AppState {
   double weight = 1.0;    // synthetic-feed share of the node waveform
 };
 
-// One client node of the fleet rig, plus its synthetic apps.
-struct FleetRigNode : FleetNode {
+// One node's synthetic apps, parallel to the rig's FleetNodes.
+struct NodeApps {
   std::vector<AppState> apps;
   uint64_t tick = 0;
 };
@@ -123,9 +116,14 @@ class FleetRig {
     // ody-lint: allow(fleet-pod-message)
     const auto wall_start = std::chrono::steady_clock::now();
     Build();
+    const OracleArming arming(&sim_, FleetArmingNodes(nodes_));
     Start();
     sim_.RunUntil(params_.horizon + kDrainGrace);
-    Finish();
+    for (auto& node : nodes_) {
+      node->oracle->Finish();
+    }
+    fleet_oracle_->Finish(
+        FleetQuiescentTail(nodes_, params_.horizon, params_.horizon + kDrainGrace));
     // ody-lint: allow(fleet-pod-message)
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
     return Metrics(wall.count());
@@ -140,32 +138,18 @@ class FleetRig {
     dispatcher_ = std::make_unique<FleetDispatcher>(&sim_);
 
     nodes_.reserve(static_cast<size_t>(params_.nodes));
+    node_apps_.reserve(static_cast<size_t>(params_.nodes));
     for (int i = 0; i < params_.nodes; ++i) {
       BuildNode(i);
     }
-    for (int i = 0; i < params_.nodes; ++i) {
-      FleetAggregator* aggregator = nodes_[static_cast<size_t>(i)]->aggregator.get();
-      dispatcher_->RegisterNode(
-          static_cast<FleetNodeId>(i), &nodes_[static_cast<size_t>(i)]->waveform,
-          nodes_[static_cast<size_t>(i)]->injector.get(),
-          [aggregator](const FleetMessage& message) {  // ody_lint: owned-capture
-            aggregator->OnMessage(message);
-          });
-    }
-
-    std::vector<FleetOracleSet::NodeBinding> bindings;
-    bindings.reserve(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      bindings.push_back(FleetOracleSet::NodeBinding{static_cast<FleetNodeId>(i),
-                                                     nodes_[i]->model, nodes_[i]->aggregator.get()});
-    }
-    fleet_oracle_ = std::make_unique<FleetOracleSet>(&sim_, std::move(bindings), params_.servers);
+    RegisterFleetNodes(dispatcher_.get(), nodes_);
+    fleet_oracle_ =
+        std::make_unique<FleetOracleSet>(&sim_, FleetOracleBindings(nodes_), params_.servers);
   }
 
   void BuildNode(int index) {
-    auto node = std::make_unique<FleetRigNode>();
+    auto node = std::make_unique<FleetNode>();
     node->waveform = NodeWaveform(params_, seed_, index);
-    node->scenario = MirrorScenario(node->waveform, params_.horizon, seed_);
     // Every fourth node (offset 1) rides out a mid-run outage, ending well
     // before the convergence tail.
     if (index % 4 == 1) {
@@ -187,10 +171,12 @@ class FleetRig {
     node->client->InstallWarden(std::make_unique<TelemetryWarden>(telemetry_server_.get()));
     node->client->set_fault_injector(node->injector.get());
 
-    node->oracle = std::make_unique<OracleSet>(node->scenario, &sim_, &node->client->viceroy(),
-                                               node->centralized, node->link.get());
+    node->oracle = std::make_unique<OracleSet>(MirrorScenario(node->waveform), &sim_,
+                                               &node->client->viceroy(), node->centralized,
+                                               node->link.get());
 
     SplitMix64 mix(seed_ ^ (0x61707073ULL + static_cast<uint64_t>(index)));
+    NodeApps& apps = node_apps_.emplace_back();
     for (int a = 0; a < params_.apps_per_node; ++a) {
       AppState app;
       app.id = node->client->RegisterApplication("fleet" + std::to_string(index) + "-" +
@@ -199,33 +185,20 @@ class FleetRig {
       app.endpoint =
           node->client->OpenConnection(app.id, "fleet-s" + std::to_string(app.server));
       app.weight = 0.5 + static_cast<double>(mix.Next() >> 11) * 0x1.0p-53;
-      node->apps.push_back(app);
+      apps.apps.push_back(app);
     }
     nodes_.push_back(std::move(node));
   }
 
   void Start() {
-    for (auto& node : nodes_) {
-      FleetRigNode* raw = node.get();
-      node->client->viceroy().upcalls().set_delivery_observer(
-          [raw](AppId app, uint64_t seq, RequestId request, ResourceId resource, double level,
-                Time posted_at) {
-            raw->oracle->OnUpcallDelivered(app, seq, request, resource, level, posted_at);
-          });
-      node->modulator->Replay(node->waveform);
-      node->aggregator->StopAt(params_.horizon);
-      node->aggregator->Start();
-      for (AppState& app : node->apps) {
-        RegisterWindow(raw, &app,
+    StartFleetNodes(nodes_, params_.horizon);
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+      FleetNode* node = nodes_[n].get();
+      for (AppState& app : node_apps_[n].apps) {
+        RegisterWindow(node, &app,
                        node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth));
       }
     }
-    OracleSet* lead = nodes_.front()->oracle.get();
-    sim_.set_step_observer([lead](Time when) { lead->OnStep(when); });  // ody_lint: owned-capture
-    // ody_lint: owned-capture
-    sim_.set_tie_observer([lead](Time when, uint64_t prev_seq, uint64_t seq) {
-      lead->OnTieBreak(when, prev_seq, seq);
-    });
     sim_.Post(kFeedPeriod, [this] { Feed(); });
     sim_.Post(kOraclePeriod, [this] { SampleOracles(); });
     // Fairness sampling skips the first quarter (cold estimators).
@@ -233,24 +206,7 @@ class FleetRig {
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
   }
 
-  void Finish() {
-    sim_.set_step_observer({});
-    sim_.set_tie_observer({});
-    const Time tail_start = params_.horizon - kConvergenceTail;
-    bool quiescent = tail_start > 0;
-    const Time end = params_.horizon + kDrainGrace;
-    for (const auto& node : nodes_) {
-      quiescent = quiescent && FaultPlanQuietAfter(node->plan, tail_start) &&
-                  WaveformLiveThroughout(node->waveform, tail_start, end);
-    }
-    for (auto& node : nodes_) {
-      node->client->viceroy().upcalls().set_delivery_observer({});
-      node->oracle->Finish();
-    }
-    fleet_oracle_->Finish(quiescent, kConvergenceTolerance);
-  }
-
-  void RegisterWindow(FleetRigNode* node, AppState* app, double level) {
+  void RegisterWindow(FleetNode* node, AppState* app, double level) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       ResourceDescriptor descriptor;
       descriptor.resource = ResourceId::kNetworkBandwidth;
@@ -283,19 +239,20 @@ class FleetRig {
       return;
     }
     const double period_s = DurationToSeconds(kFeedPeriod);
-    for (auto& node : nodes_) {
+    for (size_t n = 0; n < nodes_.size(); ++n) {
       const double rate =
-          node->waveform.BandwidthAt(now) / static_cast<double>(params_.apps_per_node);
+          nodes_[n]->waveform.BandwidthAt(now) / static_cast<double>(params_.apps_per_node);
+      NodeApps& apps = node_apps_[n];
       int i = 0;
-      for (AppState& app : node->apps) {
+      for (AppState& app : apps.apps) {
         app.endpoint->log().RecordThroughput(now, rate * app.weight * period_s, kFeedPeriod);
-        if (static_cast<int>(node->tick % 10) == i % 10) {
+        if (static_cast<int>(apps.tick % 10) == i % 10) {
           app.endpoint->log().RecordRoundTrip(
               now, 10 * kMillisecond + static_cast<Duration>(i) * 100);
         }
         ++i;
       }
-      ++node->tick;
+      ++apps.tick;
     }
     sim_.Post(kFeedPeriod, [this] { Feed(); });
   }
@@ -307,9 +264,10 @@ class FleetRig {
     if (sim_.now() >= params_.horizon) {
       return;
     }
-    for (auto& node : nodes_) {
-      node->client->Read(node->apps.front().id, std::string(kOdysseyRoot) + "files/doc/0",
-                         [](Status, std::string) {});
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+      nodes_[n]->client->Read(node_apps_[n].apps.front().id,
+                              std::string(kOdysseyRoot) + "files/doc/0",
+                              [](Status, std::string) {});
     }
     sim_.Post(kReadPeriod, [this] { ReadSweep(); });
   }
@@ -342,11 +300,11 @@ class FleetRig {
     for (int s = 0; s < params_.servers; ++s) {
       double sum = 0.0;
       double sum_sq = 0.0;
-      for (const auto& node : nodes_) {
+      for (size_t n = 0; n < nodes_.size(); ++n) {
         double claim = 0.0;
-        for (const AppState& app : node->apps) {
+        for (const AppState& app : node_apps_[n].apps) {
           if (app.server == s) {
-            claim += node->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth);
+            claim += nodes_[n]->client->CurrentLevel(app.id, ResourceId::kNetworkBandwidth);
           }
         }
         sum += claim;
@@ -429,7 +387,8 @@ class FleetRig {
   std::unique_ptr<FileServer> file_server_;
   std::unique_ptr<TelemetryServer> telemetry_server_;
   std::unique_ptr<FleetDispatcher> dispatcher_;
-  std::vector<std::unique_ptr<FleetRigNode>> nodes_;
+  FleetNodes nodes_;
+  std::vector<NodeApps> node_apps_;  // parallel to nodes_
   std::unique_ptr<FleetOracleSet> fleet_oracle_;
   // Indexed by server group; the rig caps servers well below this.
   FairnessStats fairness_[8] = {};

@@ -342,6 +342,120 @@ TEST_F(OracleSetTest, RecordingCapStoresBoundedButCountsAll) {
             2 * OracleSet::kMaxRecordedPerOracle);  // duplicate + unknown-request
 }
 
+// --- OracleArming: the one way a rig attaches its oracles ---
+
+// Two hand-driven nodes on one simulation, armed the way a fleet rig arms
+// them; node 0 is the lead.
+class OracleArmingTest : public testing::Test {
+ protected:
+  struct Node {
+    std::unique_ptr<Viceroy> viceroy;
+    std::unique_ptr<Link> link;
+    std::unique_ptr<OracleSet> oracle;
+  };
+
+  OracleArmingTest() {
+    scenario_.segments = {FuzzSegment{10 * kSecond, 120.0 * 1024, 10 * kMillisecond}};
+    for (Node& node : nodes_) {
+      node.viceroy =
+          std::make_unique<Viceroy>(&sim_, std::make_unique<CentralizedStrategy>(&sim_));
+      node.link = std::make_unique<Link>(&sim_, 120.0 * 1024, 10 * kMillisecond);
+      node.oracle = std::make_unique<OracleSet>(scenario_, &sim_, node.viceroy.get(), nullptr,
+                                                node.link.get());
+    }
+  }
+
+  std::unique_ptr<OracleArming> Arm() {
+    return std::make_unique<OracleArming>(
+        &sim_,
+        std::vector<OracleArming::Node>{{nodes_[0].viceroy.get(), nodes_[0].oracle.get()},
+                                        {nodes_[1].viceroy.get(), nodes_[1].oracle.get()}},
+        SeededDefects{},
+        [this](AppId, uint64_t, RequestId, ResourceId, double, Time) { ++tapped_; });
+  }
+
+  // Delivers one upcall on |node|'s dispatcher for a request no oracle
+  // knows, so whichever oracle observes it records upcall-unknown-request.
+  void DeliverUnknownUpcall(size_t node) {
+    nodes_[node].viceroy->upcalls().Post(1, 999, ResourceId::kNetworkBandwidth, 25.0,
+                                         [](RequestId, ResourceId, double) {});
+    sim_.RunUntil(sim_.now() + kSecond);
+  }
+
+  // Fires two events at one instant: one same-timestamp pair to audit.
+  void FireTie() {
+    const Time at = sim_.now() + kMillisecond;
+    sim_.ScheduleAt(at, [] {});
+    sim_.ScheduleAt(at, [] {});
+    sim_.RunUntil(at + kMillisecond);
+  }
+
+  // Tells both oracles an event already fired an hour ahead, then fires
+  // one now: whichever oracle observes the step records clock-monotonicity.
+  void FireStepBehindPrimedClock() {
+    for (Node& node : nodes_) {
+      node.oracle->OnStep(sim_.now() + 3600 * kSecond);
+    }
+    sim_.Schedule(kMillisecond, [] {});
+    sim_.RunUntil(sim_.now() + 2 * kMillisecond);
+  }
+
+  std::vector<std::string> OracleNames(size_t node) const {
+    std::vector<std::string> names;
+    for (const FuzzViolation& violation : nodes_[node].oracle->violations()) {
+      names.push_back(violation.oracle);
+    }
+    return names;
+  }
+
+  FuzzScenario scenario_;
+  Simulation sim_;
+  Node nodes_[2];
+  int tapped_ = 0;
+};
+
+TEST_F(OracleArmingTest, EachNodesDeliveriesReachOnlyItsOwnOracle) {
+  const std::unique_ptr<OracleArming> arming = Arm();
+  DeliverUnknownUpcall(1);
+  EXPECT_EQ(nodes_[0].oracle->violation_count(), 0u)
+      << FormatViolations(nodes_[0].oracle->violations());
+  EXPECT_EQ(OracleNames(1), std::vector<std::string>{"upcall-unknown-request"});
+  EXPECT_EQ(tapped_, 1);
+
+  DeliverUnknownUpcall(0);
+  EXPECT_EQ(OracleNames(0), std::vector<std::string>{"upcall-unknown-request"});
+  EXPECT_EQ(nodes_[1].oracle->violation_count(), 1u);
+  EXPECT_EQ(tapped_, 2);
+}
+
+TEST_F(OracleArmingTest, StepAndTieEventsReachOnlyTheLeadOracle) {
+  const std::unique_ptr<OracleArming> arming = Arm();
+  FireTie();
+  EXPECT_EQ(nodes_[0].oracle->tie_pairs_audited(), 1u);
+  EXPECT_EQ(nodes_[1].oracle->tie_pairs_audited(), 0u);
+
+  FireStepBehindPrimedClock();
+  EXPECT_EQ(OracleNames(0), std::vector<std::string>{"clock-monotonicity"});
+  EXPECT_EQ(nodes_[1].oracle->violation_count(), 0u)
+      << FormatViolations(nodes_[1].oracle->violations());
+}
+
+TEST_F(OracleArmingTest, NothingReachesAnOracleAfterTheArmingLeavesScope) {
+  Arm().reset();
+  DeliverUnknownUpcall(0);
+  DeliverUnknownUpcall(1);
+  FireTie();
+  FireStepBehindPrimedClock();
+  for (const Node& node : nodes_) {
+    EXPECT_EQ(node.oracle->violation_count(), 0u) << FormatViolations(node.oracle->violations());
+    EXPECT_EQ(node.oracle->tie_pairs_audited(), 0u);
+  }
+  EXPECT_EQ(tapped_, 0);
+  // The deliveries themselves still happened; only the observers are gone.
+  EXPECT_EQ(nodes_[0].viceroy->upcalls().delivered_count(), 1u);
+  EXPECT_EQ(nodes_[1].viceroy->upcalls().delivered_count(), 1u);
+}
+
 // --- Shrinker ---
 
 TEST(ShrinkTest, MinimizesToPredicateCore) {

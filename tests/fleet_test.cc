@@ -227,6 +227,8 @@ TEST(FleetAggregatorTest, RejectsEveryMalformedFieldAndCountsIt) {
 // Pins the mapping both fleet rigs share.  The warden service names are the
 // ones the fuzz runner's nodes open (FNV-1a 64 of the name, mod the group
 // count); "fleet-s<k>" is the campaign rig's explicit name (k mod count).
+// A "fleet-s" name whose suffix is not all digits, or does not fit in 64
+// bits, hashes like any other name (std::stoul used to throw on these).
 TEST(ServerGroupOfTest, PinsWardenServicesAndExplicitGroups) {
   struct Pin {
     const char* service;
@@ -242,6 +244,15 @@ TEST(ServerGroupOfTest, PinsWardenServicesAndExplicitGroups) {
       {"fleet-s0", {0, 0, 0, 0, 0}},
       {"fleet-s1", {0, 1, 1, 1, 1}},
       {"fleet-s7", {0, 1, 1, 2, 7}},
+      {"fleet-s007", {0, 1, 1, 2, 7}},
+      {"fleet-s18446744073709551615", {0, 1, 0, 0, 7}},  // 2^64 - 1 still fits
+      {"fleet-s", {0, 1, 0, 4, 1}},
+      {"fleet-sync", {0, 1, 0, 1, 3}},
+      {"fleet-s3x", {0, 0, 0, 3, 2}},
+      {"fleet-s-1", {0, 1, 1, 1, 7}},
+      {"fleet-s+1", {0, 1, 1, 2, 5}},
+      {"fleet-s 1", {0, 0, 2, 0, 6}},
+      {"fleet-s18446744073709551616", {0, 1, 0, 4, 1}},  // 2^64
   };
   const int counts[] = {1, 2, 3, 5, 8};
   for (const Pin& pin : pins) {
